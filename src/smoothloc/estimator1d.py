@@ -50,8 +50,9 @@ class Config1d:
                      "q_multiplier", "alpha_grid_step", "min_n_factor"):
             if not getattr(self, name) > 0:
                 raise ConfigurationError(f"{name} must be positive")
-        if self.r_override is not None and not self.r_override > 0:
-            raise ConfigurationError("r_override must be positive when set")
+        if self.r_override is not None and not (
+                self.r_override > 0 and math.isfinite(self.r_override)):
+            raise ConfigurationError("r_override must be finite and positive when set")
 
 
 @dataclass(frozen=True)

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, EstimationError, PreconditionError, TailUnderflowError
-from .models import DensityHd
+from .models import ProductDensity
 from .rng import RngSeed
 from .smoothing import FisherMatrix, SmoothedModelHd, fisher_hd, smoothed_score_hd
 
@@ -47,8 +47,8 @@ class ConfigHd:
     def __post_init__(self):
         if not 0.0 < self.delta <= 0.5:
             raise ConfigurationError("delta must be in (0, 0.5]")
-        if not self.r > 0:
-            raise ConfigurationError("r must be positive")
+        if not (self.r > 0 and math.isfinite(self.r)):
+            raise ConfigurationError("r must be finite and positive")
         if not 0.0 < self.eta < 1.0:
             raise ConfigurationError("eta must be in (0, 1)")
         if self.init_fraction is not None and not 0.0 < self.init_fraction < 0.5:
@@ -157,7 +157,7 @@ def geometric_median_of_means(samples, delta: float, seed: RngSeed | None = None
     return _weiszfeld(means)
 
 
-def local_mle_hd(base: DensityHd, r: float, samples, lambda1,
+def local_mle_hd(base: ProductDensity, r: float, samples, lambda1,
                  seed: RngSeed) -> np.ndarray:
     """One inverse-Fisher-weighted score step from lambda1.
 
@@ -214,7 +214,7 @@ def theoretical_bound_hd(fisher: FisherMatrix, M, n: int, delta: float,
     )
 
 
-def global_mle_hd(base: DensityHd, samples, cfg: ConfigHd,
+def global_mle_hd(base: ProductDensity, samples, cfg: ConfigHd,
                   seed: RngSeed) -> ReportHd:
     """Robust initialization plus one smoothed-score correction step.
 

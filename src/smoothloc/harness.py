@@ -176,14 +176,14 @@ _RANGE_CHECKS: Mapping[str, Callable[[object], bool]] = {
     "trials": lambda v: v >= 1,
     "threads": lambda v: v >= 1,
     "delta": lambda v: 0.0 < v < 1.0,
-    "r": lambda v: v > 0.0,
+    "r": lambda v: v > 0.0 and math.isfinite(v),
     "eta": lambda v: 0.0 < v < 1.0,
     "w": lambda v: v > 0.0,
     "slope": lambda v: v >= 0.0,
     "min-n-factor": lambda v: v > 0.0,
     "lambda-scale": lambda v: v >= 0.0,
     "n-grid": lambda v: all(x >= 1 for x in v),
-    "r-grid": lambda v: all(x > 0.0 for x in v),
+    "r-grid": lambda v: all(x > 0.0 and math.isfinite(x) for x in v),
     "d-grid": lambda v: all(x >= 1 for x in v),
     "delta-grid": lambda v: all(0.0 < x < 1.0 for x in v),
     "families": lambda v: len(v) >= 1,
@@ -271,9 +271,10 @@ def format_config(cfg: ExperimentConfig) -> str:
 def _map_trials(fn: Callable[[int], tuple], count: int, threads: int):
     # Whole trials (never pieces of one) go to the pool; ex.map keeps
     # submission order, so output is independent of the thread count.
-    if threads <= 1:
+    workers = min(int(threads), count)
+    if workers <= 1:
         return [fn(t) for t in range(count)]
-    with ThreadPoolExecutor(max_workers=int(threads)) as ex:
+    with ThreadPoolExecutor(max_workers=workers) as ex:
         return list(ex.map(fn, range(count)))
 
 

@@ -2,11 +2,13 @@
 
 Four one-dimensional shapes (Gaussian, Laplace, finite Gaussian mixture,
 Gaussian plus sawtooth ripple) and their products, each with exact pdf,
-cdf, quantile, and sampler.  Every family carries an explicit location
-shift so estimators can form f^lambda without touching family parameters.
+cdf, quantile, and sampler, and the exact log-density and score of the
+shape convolved with N(0, r^2).  Every family carries an explicit
+location shift so estimators can form f^lambda without touching family
+parameters.
 
-Instances are frozen and hashable; downstream quadrature caches key on
-them directly.
+Instances are frozen and hashable; downstream caches key on them
+directly.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -74,6 +77,14 @@ class Density1d:
     def _breakpoints_std(self):
         # x-locations where the pdf is not smooth; () when C^inf
         return ()
+
+    def _smoothed_std(self, u, r: float):
+        """(log f_r(u), score s_r(u)) of the shape smoothed by N(0, r^2).
+
+        Exact forms, in log space so that far tails keep a finite log
+        density and score.
+        """
+        raise NotImplementedError
 
     # -- public surface ------------------------------------------------
 
@@ -168,6 +179,11 @@ class Gaussian(Density1d):
     def _variance_std(self):
         return self.sigma**2
 
+    def _smoothed_std(self, u, r):
+        var = self.sigma**2 + r * r
+        d = np.asarray(u, dtype=float) - self.mu
+        return -0.5 * d * d / var - 0.5 * math.log(2.0 * math.pi * var), -d / var
+
     def quadrature_extent(self):
         c = self.mu + self.shift
         return (c, c, self.sigma)
@@ -208,10 +224,20 @@ class Laplace(Density1d):
     def _breakpoints_std(self):
         return (self.mu,)
 
+    def _smoothed_std(self, u, r):
+        # normal-Laplace density (Reed & Jorgensen 2004): e^a and e^c are
+        # the kernel mass left and right of the kink; the Gaussian terms
+        # of their derivatives cancel, which leaves a tanh score
+        t = np.asarray(u, dtype=float) - self.mu
+        b = self.b
+        a = t / b + special.log_ndtr(-t / r - r / b)
+        c = -t / b + special.log_ndtr(t / r - r / b)
+        log_pdf = np.logaddexp(a, c) + 0.5 * (r / b) ** 2 - math.log(2.0 * b)
+        return log_pdf, np.tanh(0.5 * (a - c)) / b
+
     def quadrature_extent(self):
         c = self.mu + self.shift
-        # sd of Laplace is sqrt(2) b; tails are heavier than Gaussian but
-        # 12 of these still leave mass ~ exp(-17)
+        # sd of Laplace is sqrt(2) b; its tails are heavier than Gaussian
         return (c, c, math.sqrt(2.0) * self.b)
 
 
@@ -270,6 +296,15 @@ class GaussianMixture(Density1d):
         w, m, s = self._arrays()
         mu = np.sum(w * m)
         return float(np.sum(w * (s**2 + m**2)) - mu**2)
+
+    def _smoothed_std(self, u, r):
+        w, m, s = self._arrays()
+        var = s**2 + r * r
+        d = np.asarray(u, dtype=float)[..., None] - m
+        log_comp = np.log(w) - 0.5 * np.log(2.0 * math.pi * var) - 0.5 * d * d / var
+        log_pdf = special.logsumexp(log_comp, axis=-1)
+        resp = np.exp(log_comp - log_pdf[..., None])
+        return log_pdf, np.sum(resp * (-d / var), axis=-1)
 
     def quadrature_extent(self):
         _, m, s = self._arrays()
@@ -335,7 +370,9 @@ class GaussianSawtooth(Density1d):
 
     def _pdf_std(self, u):
         u = np.asarray(u, dtype=float)
-        out = _phi(u)
+        # asarray: for 0-d u, _phi returns a numpy scalar, whose reshape
+        # is a copy that would drop the ripple
+        out = np.asarray(_phi(u))
         self._add_ripple(u.reshape(-1), out.reshape(-1))
         return out
 
@@ -387,8 +424,115 @@ class GaussianSawtooth(Density1d):
         pts += [-nt * self.w, nt * self.w]
         return tuple(sorted(pts))
 
+    def _segment_slopes(self):
+        # ripple slope between consecutive breakpoints; the wave climbs
+        # through even integers of u/w and falls through odd ones
+        nt = self.n_teeth
+        return self.slope * (-1.0) ** (nt + np.arange(2 * nt + 1))
+
+    def _smoothed_std(self, u, r):
+        # N(0, 1 + r^2) times (1 + R/N), with the smoothed ripple R and
+        # its slope read from the cached grid; R is exactly 0 outside the
+        # grid, where N may underflow, so 1/N is capped to stay finite
+        shape = np.shape(u)
+        u = np.asarray(u, dtype=float).ravel()
+        var = 1.0 + r * r
+        log_pdf = -0.5 * u * u / var - 0.5 * math.log(2.0 * math.pi * var)
+        score = -u / var
+        grid = _ripple_grid(self.w, self.slope, float(r))
+        for start in range(0, u.size, _LOOKUP_BLOCK):
+            sl = slice(start, start + _LOOKUP_BLOCK)
+            ripple, ripple_slope = grid.lookup(u[sl])
+            inv_gauss = np.exp(-np.maximum(log_pdf[sl], -700.0))
+            ripple *= inv_gauss
+            ripple_slope *= inv_gauss
+            score[sl] = (score[sl] + ripple_slope) / (1.0 + ripple)
+            log_pdf[sl] += np.log1p(ripple)
+        return log_pdf.reshape(shape), score.reshape(shape)
+
     def quadrature_extent(self):
         return (self.shift, self.shift, 1.0)
+
+
+# The smoothed ripple R = ripple * N(0, r^2) is sum_j D_j (u - b_j)_+ * N(0, r^2)
+# over the breakpoints b_j with slope changes D_j, and (x)_+ * N(0, r^2) is
+# r g(x/r) with g(t) = t Phi(t) + phi(t).  Since g(t) = t + g(-t), R is the
+# exact ripple plus sum_j D_j r g(-|t_j|), a sum of bounded terms that vanish
+# beyond |t_j| = _RIPPLE_REACH (g(-12) < 1e-33): no cancellation between the
+# large linear parts.  Evaluating it per point costs one term per
+# breakpoint (42 at w = 0.05), so it is tabulated once per (w, slope, r) on
+# a uniform grid with exact first and second derivatives, and read back by
+# cubic Hermite interpolation of R and of R'.  At spacing r/128 the score
+# error is about 1e-11, independent of r.
+_RIPPLE_REACH = 12.0
+_RIPPLE_POINTS_PER_R = 128
+_RIPPLE_MAX_POINTS = 1 << 20
+_LOOKUP_BLOCK = 1 << 16
+
+
+@dataclass(frozen=True, eq=False)
+class _RippleGrid:
+    lo: float
+    h: float
+    value: np.ndarray
+    slope: np.ndarray
+    curvature: np.ndarray
+
+    def lookup(self, u):
+        """(R(u), R'(u)); points outside the grid read its zero end points."""
+        last = self.value.size - 1
+        # fmin/fmax send NaN to the zero end point; the Gaussian part
+        # keeps the NaN
+        s = np.fmin(np.fmax((u - self.lo) / self.h, 0.0), last)
+        i = np.minimum(s.astype(np.intp), last - 1)
+        f = s - i
+        g = 1.0 - f
+        h00 = (1.0 + 2.0 * f) * g * g
+        h01 = 1.0 - h00
+        h10 = self.h * f * g * g
+        h11 = -self.h * f * f * g
+        j = i + 1
+        ripple = (h00 * self.value[i] + h01 * self.value[j]
+                  + h10 * self.slope[i] + h11 * self.slope[j])
+        ripple_slope = (h00 * self.slope[i] + h01 * self.slope[j]
+                        + h10 * self.curvature[i] + h11 * self.curvature[j])
+        return ripple, ripple_slope
+
+
+@lru_cache(maxsize=8)
+def _ripple_grid(w: float, slope: float, r: float) -> _RippleGrid:
+    saw = GaussianSawtooth(w, slope)
+    kinks = np.asarray(saw._breakpoints_std())
+    seg = saw._segment_slopes()
+    jumps = np.diff(seg, prepend=0.0, append=0.0)
+    h = r / _RIPPLE_POINTS_PER_R
+    lo = kinks[0] - _RIPPLE_REACH * r
+    count = int(math.ceil((kinks[-1] + _RIPPLE_REACH * r - lo) / h)) + 1
+    if count > _RIPPLE_MAX_POINTS:
+        raise PreconditionError(
+            f"sawtooth smoothing radius r={r} is too small: its ripple grid "
+            f"would need {count} > {_RIPPLE_MAX_POINTS} points"
+        )
+    u = lo + h * np.arange(count)
+    value = saw._ripple(u)
+    slope_at = np.concatenate(([0.0], seg, [0.0]))[np.searchsorted(kinks, u)]
+    curvature = np.zeros(count)
+    reach = int(math.ceil(_RIPPLE_REACH * _RIPPLE_POINTS_PER_R)) + 1
+    for b, jump in zip(kinks, jumps):
+        center = int(round((b - lo) / h))
+        sl = slice(max(center - reach, 0), min(center + reach + 1, count))
+        t = (u[sl] - b) / r
+        a = -np.abs(t)
+        tail = special.ndtr(a)
+        dens = _phi(a)
+        value[sl] += jump * r * (a * tail + dens)
+        slope_at[sl] += jump * np.where(t > 0.0, -tail, tail)
+        curvature[sl] += jump * dens / r
+    # the terms left at the end points are below 1e-31; exact zeros make
+    # every point beyond the grid read R = R' = 0
+    for arr in (value, slope_at, curvature):
+        arr[[0, -1]] = 0.0
+    return _RippleGrid(float(lo), h, value, slope_at, curvature)
 
 
 @dataclass(frozen=True)
@@ -439,36 +583,6 @@ class ProductDensity:
         return ProductDensity(
             tuple(comp.shifted(ci) for comp, ci in zip(self.components, c))
         )
-
-
-DensityHd = ProductDensity
-
-
-# -- free-function forms used throughout tests and the harness --------
-
-
-def pdf(model, x):
-    return model.pdf(x)
-
-
-def cdf(model, x):
-    return model.cdf(x)
-
-
-def quantile(model, p):
-    return model.quantile(p)
-
-
-def sample(model, n, seed):
-    return model.sample(n, seed)
-
-
-def iqr(model):
-    return model.iqr()
-
-
-def covariance(model: ProductDensity):
-    return model.covariance()
 
 
 # -- model-spec grammar ------------------------------------------------

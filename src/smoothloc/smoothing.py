@@ -5,14 +5,15 @@ smoothed Fisher information I_r, plus the diagnostic checks used to
 validate the estimator analysis (score inversion bias, expected-score
 Taylor expansion, subgamma score moments).
 
-The convolution integrals run on a composite Gauss-Legendre rule in the
-noise variable z over [-T*r, T*r]: a fixed set of uniform panel
-boundaries, augmented per evaluation point with the base density's kink
-locations x - b_j clipped into the window.  Aligning panels with kinks
-keeps the integrand piecewise-smooth inside every panel, so the rule
-converges at machine precision for the kinked families (plain
-Gauss-Hermite stalls near 1e-5 there).  The node budget K doubles until
-two successive score evaluations agree within 1e-9 (cap 1024).
+Every family has an exact f_r, evaluated in log space by the family
+itself (Density1d._smoothed_std): Gaussian components keep their form
+with variance sigma^2 + r^2, Laplace becomes the normal-Laplace density,
+and the sawtooth is N(0, 1 + r^2) plus its smoothed ripple, read from a
+cached grid of exact values and derivatives.  Pointwise evaluation takes
+that one path for every batch size.  Integrals over x (Fisher
+information, expected shifted scores) use composite Gauss-Legendre
+panels whose edges sit on every kink of the base density and at
+geometric multiples of r around it, where f_r changes on the scale r.
 
 High-d smoothing uses R = r^2*I on product bases, so everything reduces
 exactly to per-coordinate 1-d evaluations.
@@ -25,38 +26,29 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
-from scipy.interpolate import CubicSpline
+from scipy import special
 
 from .errors import ConfigurationError, PreconditionError, TailUnderflowError
 from .models import Density1d, ProductDensity
 from .rng import RngSeed
 
-_SQRT2PI = math.sqrt(2.0 * math.pi)
-_LADDER_TOL = 1e-9
-_NODE_CAP = 1024
-_UNDERFLOW_FLOOR = 1e-300
-_BASE_PANELS = 20
-_CHUNK = 8192
-_FISHER_PANELS = 1 << 14
-_TABLE_PANELS = 1 << 15
-_BATCH_THRESHOLD = 4096
+_LOG_UNDERFLOW = math.log(1e-300)
+_GL_T, _GL_W = special.roots_legendre(20)
+_UNIFORM_PANELS = 128
+
+
+def _require_radius(r) -> None:
+    if not (r > 0 and math.isfinite(r)):
+        raise PreconditionError(f"smoothing radius r must be finite and > 0, got {r}")
 
 
 @dataclass(frozen=True)
 class SmoothedModel1d:
     base: Density1d
     r: float
-    nodes: int = 128          # quadrature node budget per evaluation
-    truncation: float = 10.0  # window half-width in noise sd units
 
     def __post_init__(self):
-        if not self.r > 0:
-            raise PreconditionError("smoothing radius r must be > 0")
-        if self.nodes < 16:
-            raise PreconditionError("node budget K must be >= 16")
-        if not self.truncation > 0:
-            raise PreconditionError("truncation radius must be > 0")
+        _require_radius(self.r)
 
     def pdf(self, x):
         return smoothed_pdf_1d(self, x)
@@ -68,238 +60,70 @@ class SmoothedModel1d:
         return fisher_1d(self)
 
 
-@lru_cache(maxsize=256)
-def _leggauss_cached(q: int):
-    return leggauss(q)
-
-
-def _panel_bounds(m: SmoothedModel1d, x: np.ndarray) -> np.ndarray:
-    half_width = m.truncation * m.r
-    bounds_uniform = np.linspace(-half_width, half_width, _BASE_PANELS + 1)
-    n = x.shape[0]
-    bks = m.base.breakpoints()
-    if not bks:
-        return np.broadcast_to(bounds_uniform, (n, _BASE_PANELS + 1))
-    # kink z-locations per point, clipped into the window; clipping
-    # collapses out-of-window kinks onto the edge (zero-width panel)
-    kz = np.clip(x[:, None] - np.asarray(bks)[None, :], -half_width, half_width)
-    bounds = np.concatenate(
-        [np.broadcast_to(bounds_uniform, (n, _BASE_PANELS + 1)), kz], axis=1
-    )
-    bounds.sort(axis=1)
-    return bounds
-
-
-def _eval_joint(m: SmoothedModel1d, x: np.ndarray, bounds: np.ndarray, budget: int):
-    """(den, num) with den = f_r(x) and num = int z w_r(z) f(x-z) dz."""
-    r = m.r
-    n = x.shape[0]
-    panels = bounds.shape[1] - 1
-    q = max(2, budget // panels)
-    t, w = _leggauss_cached(q)
-    lo = bounds[:, :-1, None]
-    hi = bounds[:, 1:, None]
-    half = 0.5 * (hi - lo)
-    z = (0.5 * (hi + lo) + half * t).reshape(n, panels * q)
-    wz = (half * w).reshape(n, panels * q)
-    fx = m.base.pdf(x[:, None] - z)
-    kern = np.square(z / r)
-    kern *= -0.5
-    np.exp(kern, out=kern)
-    kern *= wz
-    kern /= r * _SQRT2PI
-    kern *= fx
-    den = np.sum(kern, axis=1)
-    kern *= z
-    num = np.sum(kern, axis=1)
-    return den, num
-
-
-def _score_from(den, num, r):
-    # gradient convention: s_r(x) = (d/dx) log f_r(x) = -E[Z|x]/r^2
-    ok = den > _UNDERFLOW_FLOOR
-    out = np.zeros_like(den)
-    out[ok] = -num[ok] / den[ok] / (r * r)
-    return out, ok
-
-
-def _eval_chunk(m: SmoothedModel1d, x: np.ndarray):
-    """Adaptive ladder: double K until successive scores agree.
-
-    Agreement is judged where the chunk carries mass (density above
-    1e-12 of the chunk maximum): far-tail points sit at the floating
-    floor where a 1e-9 match between rules can never be reached, and
-    every consumer either zeroes them (tail integrals) or raises
-    underflow (score evaluation).
-    """
-    bounds = _panel_bounds(m, x)
-    budget = m.nodes
-    den, num = _eval_joint(m, x, bounds, budget)
-    score, ok = _score_from(den, num, m.r)
-    while budget < _NODE_CAP:
-        budget *= 2
-        den2, num2 = _eval_joint(m, x, bounds, budget)
-        score2, ok2 = _score_from(den2, num2, m.r)
-        scale = max(float(np.max(den2)), _UNDERFLOW_FLOOR)
-        bulk = ok & ok2 & (den2 > 1e-12 * scale)
-        score_drift = np.max(np.abs(score2[bulk] - score[bulk]), initial=0.0)
-        den_drift = float(np.max(np.abs(den2 - den))) / scale
-        den, num, score, ok = den2, num2, score2, ok2
-        if score_drift <= _LADDER_TOL and den_drift <= _LADDER_TOL:
-            break
-    return den, score, ok
-
-
-def _eval_arrays(m: SmoothedModel1d, x, on_underflow: str = "raise"):
-    x = np.asarray(x, dtype=float)
-    flat = np.atleast_1d(x).ravel()
-    den = np.empty(flat.shape)
-    score = np.empty(flat.shape)
-    for start in range(0, flat.shape[0], _CHUNK):
-        sl = slice(start, start + _CHUNK)
-        d, s, ok = _eval_chunk(m, flat[sl])
-        if not np.all(ok):
-            if on_underflow == "raise":
-                bad = flat[sl][~ok][0]
-                raise TailUnderflowError(float(bad), m.r)
-            d = np.where(ok, d, 0.0)  # zero contribution in tail integrals
-        den[sl] = d
-        score[sl] = s
-    return den.reshape(x.shape), score.reshape(x.shape)
+def _log_pdf_and_score(m: SmoothedModel1d, x):
+    u = np.asarray(x, dtype=float) - m.base.shift
+    return m.base._smoothed_std(u, m.r)
 
 
 def smoothed_pdf_1d(m: SmoothedModel1d, x):
-    den, _ = _eval_arrays(m, x, on_underflow="zero")
+    """f_r at x, clamped to 0 where it falls below 1e-300."""
+    log_pdf, _ = _log_pdf_and_score(m, x)
+    den = np.where(log_pdf > _LOG_UNDERFLOW, np.exp(log_pdf), 0.0)
     return float(den) if np.ndim(x) == 0 else den
 
 
-@lru_cache(maxsize=32)
-def _score_table(m: SmoothedModel1d):
-    """Score on a dense uniform grid plus its cubic interpolant.
-
-    Built by the same laddered quadrature as pointwise evaluation and
-    restricted to the contiguous region around the mode where the
-    density stays far above the underflow floor, so interpolation never
-    crosses a region the quadrature itself cannot certify.  Returns
-    None when the grid cannot resolve the smoothing scale.
-    """
-    lo, hi = _fisher_extent(m)
-    if (hi - lo) / _TABLE_PANELS > m.r / 8.0:
-        return None
-    grid = np.linspace(lo, hi, _TABLE_PANELS + 1)
-    den, score = _eval_arrays(m, grid, on_underflow="zero")
-    reliable = den > 1e-280
-    center = int(np.argmax(den))
-    lo_i = center
-    while lo_i > 0 and reliable[lo_i - 1]:
-        lo_i -= 1
-    hi_i = center
-    while hi_i < reliable.size - 1 and reliable[hi_i + 1]:
-        hi_i += 1
-    if hi_i - lo_i < 8:
-        return None
-    spline = CubicSpline(grid[lo_i : hi_i + 1], score[lo_i : hi_i + 1])
-    return float(grid[lo_i]), float(grid[hi_i]), spline
-
-
-def _score_batch(m: SmoothedModel1d, flat: np.ndarray) -> np.ndarray:
-    table = _score_table(m)
-    if table is None:
-        _, score = _eval_arrays(m, flat, on_underflow="raise")
-        return score
-    lo, hi, spline = table
-    inside = (flat >= lo) & (flat <= hi)
-    out = np.empty_like(flat)
-    out[inside] = spline(flat[inside])
-    if not np.all(inside):
-        # stragglers outside the table keep exact pointwise semantics,
-        # including the underflow error
-        _, score = _eval_arrays(m, flat[~inside], on_underflow="raise")
-        out[~inside] = score
-    return out
-
-
 def smoothed_score_1d(m: SmoothedModel1d, x):
-    """s_r at x; large batches go through a cached dense-grid interpolant.
+    """s_r at x from the family's exact smoothed form.
 
-    The interpolant is built from the laddered quadrature at grid spacing
-    far below r and reproduces direct evaluation to ~1e-9 (exactly, for
-    linear scores); small batches and points outside the table always use
-    direct quadrature.
+    Raises TailUnderflowError at the first point where f_r < 1e-300:
+    the score is not trusted that far into the tail.
     """
-    if np.ndim(x) != 0 and np.size(x) >= _BATCH_THRESHOLD:
-        x = np.asarray(x, dtype=float)
-        return _score_batch(m, x.ravel()).reshape(x.shape)
-    _, score = _eval_arrays(m, x, on_underflow="raise")
+    log_pdf, score = _log_pdf_and_score(m, x)
+    bad = ~(log_pdf > _LOG_UNDERFLOW)
+    if np.any(bad):
+        raise TailUnderflowError(float(np.asarray(x, dtype=float)[bad].flat[0]), m.r)
     return float(score) if np.ndim(x) == 0 else score
 
 
-def pdf_and_score_1d(m: SmoothedModel1d, x, on_underflow: str = "raise"):
-    return _eval_arrays(m, x, on_underflow=on_underflow)
+def _panel_rule(m: SmoothedModel1d, shift: float = 0.0):
+    """Points and weights for integrals over x of f_r(x) g(x + shift).
 
-
-def _fisher_extent(m: SmoothedModel1d):
+    Panel edges: a uniform partition of the base's extent padded by
+    20 sigma + 12 r (Laplace tail mass beyond: exp(-28) ~ 5e-13), every
+    kink b of the base (and b - shift), and b +- r 2^k for k >= -2, so
+    panels resolve the r-wide bend of f_r at a kink and widen
+    geometrically away from it.
+    """
     lo_c, hi_c, sigma = m.base.quadrature_extent()
-    pad = 12.0 * sigma + 12.0 * m.r
-    return lo_c - pad, hi_c + pad
-
-
-def _fisher_grid(m: SmoothedModel1d, panels: int = _FISHER_PANELS):
-    lo, hi = _fisher_extent(m)
-    return np.linspace(lo, hi, panels + 1)
-
-
-def _simpson(values: np.ndarray, h: float) -> float:
-    acc = values[0] + values[-1] + 4.0 * values[1:-1:2].sum() + 2.0 * values[2:-2:2].sum()
-    return float(acc * h / 3.0)
+    pad = 20.0 * sigma + 12.0 * m.r
+    lo, hi = lo_c - pad, hi_c + pad
+    edges = [np.linspace(lo, hi, _UNIFORM_PANELS + 1)]
+    kinks = np.asarray(m.base.breakpoints(), dtype=float)
+    if kinks.size:
+        kinks = np.union1d(kinks, kinks - shift)
+        steps = m.r * 2.0 ** np.arange(-2, math.ceil(math.log2((hi - lo) / m.r)) + 1)
+        offsets = np.concatenate((-steps, [0.0], steps))
+        edges.append((kinks[:, None] + offsets).ravel())
+    edges = np.unique(np.clip(np.concatenate(edges), lo, hi))
+    half = 0.5 * np.diff(edges)[:, None]
+    x = (edges[:-1, None] + half * (1.0 + _GL_T)).ravel()
+    return x, (half * _GL_W).ravel()
 
 
 @lru_cache(maxsize=None)
-def _fisher_1d_cached(m: SmoothedModel1d) -> float:
-    # Simpson on a doubling grid, reusing coarse-level evaluations as the
-    # even-index points of the next level; stops when two successive
-    # refinements agree, capped at the fixed fine grid.
-    def integrand(x):
-        den, score = _eval_arrays(m, x, on_underflow="zero")
-        return den * np.square(score)
-
-    lo, hi = _fisher_extent(m)
-    panels = 1 << 10
-    vals = integrand(np.linspace(lo, hi, panels + 1))
-    acc = _simpson(vals, (hi - lo) / panels)
-    while panels < _FISHER_PANELS:
-        mids = integrand(np.linspace(lo, hi, 2 * panels + 1)[1::2])
-        merged = np.empty(2 * panels + 1)
-        merged[0::2] = vals
-        merged[1::2] = mids
-        panels *= 2
-        vals = merged
-        acc2 = _simpson(vals, (hi - lo) / panels)
-        done = abs(acc2 - acc) <= 1e-9 * max(1.0, abs(acc2))
-        acc = acc2
-        if done:
-            break
-    return acc
-
-
 def fisher_1d(m: SmoothedModel1d) -> float:
-    """I_r = int f_r s_r^2 by composite Simpson; cached per (base, r)."""
-    return _fisher_1d_cached(m)
-
-
-def _expectation_of(m: SmoothedModel1d, fn) -> float:
-    # E_{x ~ f_r}[fn(x)] on the Fisher grid; fn gets the grid points
-    grid = _fisher_grid(m)
-    den, _ = _eval_arrays(m, grid, on_underflow="zero")
-    return _simpson(den * fn(grid), grid[1] - grid[0])
+    """I_r = int f_r s_r^2 by kink-aware Gauss-Legendre; cached per (base, r)."""
+    x, w = _panel_rule(m)
+    log_pdf, score = _log_pdf_and_score(m, x)
+    return float(np.sum(w * np.exp(log_pdf) * score * score))
 
 
 def expected_shifted_score(m: SmoothedModel1d, eps: float) -> float:
-    """E_{x ~ f_r}[s_r(x + eps)] by quadrature."""
-    grid = _fisher_grid(m)
-    den, _ = _eval_arrays(m, grid, on_underflow="zero")
-    _, score_shifted = _eval_arrays(m, grid + eps, on_underflow="zero")
-    return _simpson(den * score_shifted, grid[1] - grid[0])
+    """E_{x ~ f_r}[s_r(x + eps)] by kink-aware Gauss-Legendre."""
+    x, w = _panel_rule(m, eps)
+    log_pdf, _ = _log_pdf_and_score(m, x)
+    _, score_shifted = _log_pdf_and_score(m, x + eps)
+    return float(np.sum(w * np.exp(log_pdf) * score_shifted))
 
 
 # -- high-dimensional wrappers (product bases, R = r^2 I) ---------------
@@ -309,15 +133,12 @@ def expected_shifted_score(m: SmoothedModel1d, eps: float) -> float:
 class SmoothedModelHd:
     base: ProductDensity
     r: float
-    nodes: int = 128
-    truncation: float = 10.0
     mc_samples: int = 200_000
 
     def __post_init__(self):
         if not isinstance(self.base, ProductDensity):
             raise PreconditionError("high-d smoothing expects a product density")
-        if not self.r > 0:
-            raise PreconditionError("smoothing radius r must be > 0")
+        _require_radius(self.r)
 
     @property
     def dim(self) -> int:
@@ -326,10 +147,7 @@ class SmoothedModelHd:
 
 @lru_cache(maxsize=None)
 def _coord_engines(m: SmoothedModelHd):
-    return tuple(
-        SmoothedModel1d(c, m.r, nodes=m.nodes, truncation=m.truncation)
-        for c in m.base.components
-    )
+    return tuple(SmoothedModel1d(c, m.r) for c in m.base.components)
 
 
 @dataclass(frozen=True)
@@ -451,10 +269,7 @@ def expected_score_taylor_check(m: SmoothedModel1d, eps: float) -> TaylorCheck:
     eps = float(eps)
     if abs(eps) > m.r / 2 + 1e-12:
         raise PreconditionError("requires |eps| <= r/2")
-    grid = _fisher_grid(m)
-    den, _ = _eval_arrays(m, grid, on_underflow="zero")
-    _, score_shifted = _eval_arrays(m, grid - eps, on_underflow="zero")
-    lhs = _simpson(den * score_shifted, grid[1] - grid[0])
+    lhs = expected_shifted_score(m, -eps)
     linear = fisher_1d(m) * eps
     return TaylorCheck(lhs, linear, lhs - linear)
 

@@ -142,6 +142,25 @@ def test_coverage_thread_count_invariance():
     assert a.to_csv() == b.to_csv()
 
 
+def test_thread_pool_clamped_to_trial_count(monkeypatch):
+    import smoothloc.harness as harness
+
+    pools = []
+
+    class RecordingPool(harness.ThreadPoolExecutor):
+        def __init__(self, max_workers=None, **kw):
+            pools.append(max_workers)
+            super().__init__(max_workers=max_workers, **kw)
+
+    monkeypatch.setattr(harness, "ThreadPoolExecutor", RecordingPool)
+    serial = run_coverage("gaussian(0,1)", 400, 3, 0.1, seed=5, threads=1)
+    wide = run_coverage("gaussian(0,1)", 400, 3, 0.1, seed=5, threads=100_000)
+    single = run_coverage("gaussian(0,1)", 400, 1, 0.1, seed=5, threads=8)
+    assert pools == [3]  # the 1-thread and 1-trial runs start no pool
+    assert wide.to_csv() == serial.to_csv()
+    assert single.rows[0] == serial.rows[0]
+
+
 def test_coverage_rows_reconcile():
     t = run_coverage("gaussian(0,1)", 400, 12, 0.1, seed=5)
     assert t.header == ("trial", "lambda_true", "lambda_hat", "abs_err",
@@ -271,6 +290,15 @@ def test_run_experiment_rejects_single_shot():
 def run_cli(*args):
     return subprocess.run([sys.executable, "-m", "smoothloc", *args],
                           capture_output=True, text=True)
+
+
+def test_import_leaves_scipy_interpolate_unloaded():
+    code = ("import sys, smoothloc; "
+            "print('scipy.interpolate' in sys.modules)")
+    res = subprocess.run([sys.executable, "-c", code],
+                         capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.strip() == "False"
 
 
 def test_cli_fisher_stdout():

@@ -4,9 +4,11 @@ import math
 
 import numpy as np
 import pytest
-from scipy import integrate
+from scipy import integrate, special
 
 from smoothloc import (
+    Config1d,
+    ConfigHd,
     ConfigurationError,
     Gaussian,
     GaussianMixture,
@@ -20,6 +22,7 @@ from smoothloc import (
     check_score_inversion_bias,
     fisher_1d,
     fisher_hd,
+    parse_config,
     parse_model,
     smoothed_pdf_1d,
     smoothed_score_1d,
@@ -35,10 +38,14 @@ MIX = GaussianMixture((0.3, 0.7), (-1.0, 2.0), (0.5, 1.5))
 SAW = GaussianSawtooth(0.05, 4.0)
 
 
-def convolve_oracle(base, r, x):
-    """Direct adaptive quadrature of (f * N(0, r^2))(x), kink-aware."""
+def convolve_oracle(base, r, x, moment=0):
+    """Direct adaptive quadrature of (f * N(0, r^2))(x), kink-aware.
+
+    With moment=k the kernel carries an extra z^k, so moment=1 gives
+    -r^2 f_r'(x).
+    """
     def integrand(z):
-        return base.pdf(x - z) * math.exp(-0.5 * (z / r) ** 2) / (
+        return z**moment * base.pdf(x - z) * math.exp(-0.5 * (z / r) ** 2) / (
             r * math.sqrt(2 * math.pi))
     kinks = sorted(x - b for b in base.breakpoints()
                    if abs(x - b) < 10 * r)
@@ -133,6 +140,46 @@ def test_score_batch_matches_pointwise():
     m = SmoothedModel1d(Gaussian(0, 1), 1.0)
     batch = smoothed_score_1d(m, xs)
     assert np.max(np.abs(batch + xs / 2.0)) < 1e-9
+
+
+def oracle_score(base, r, x):
+    return -convolve_oracle(base, r, x, moment=1) / (
+        r * r * convolve_oracle(base, r, x))
+
+
+@pytest.mark.parametrize("base,r,xs", [
+    # dense kinks: a laddered quadrature once stopped here on two rungs
+    # of the same rule, off by up to 0.69
+    (GaussianSawtooth(0.01, 20.0), 0.01, np.linspace(-1.1, 1.1, 45)),
+    (GaussianSawtooth(0.02, 10.0), 0.05, np.linspace(-1.3, 1.3, 53)),
+    # batch of 4096 points: a spline table once served these to 3e-6
+    (SAW, 0.01, np.linspace(-1.2, 1.2, 4096)),
+], ids=["w0.01", "w0.02", "batch"])
+def test_sawtooth_score_against_quad_oracle(base, r, xs):
+    got = smoothed_score_1d(SmoothedModel1d(base, r), xs)
+    idx = np.arange(0, xs.size, max(1, xs.size // 64))
+    want = np.array([oracle_score(base, r, xs[i]) for i in idx])
+    assert np.max(np.abs(got[idx] - want)) < 1e-8
+
+
+def test_fisher_laplace_small_radius_against_normal_laplace():
+    # Laplace(0,1) * N(0, r^2) written out (Reed & Jorgensen 2004); a
+    # uniform Simpson grid once missed the r-wide bend at the kink by 2e-4
+    r = 1e-3
+
+    def integrand(x):
+        a = x + special.log_ndtr(-x / r - r)
+        c = -x + special.log_ndtr(x / r - r)
+        pdf = 0.5 * math.exp(0.5 * r * r + np.logaddexp(a, c))
+        return pdf * math.tanh(0.5 * (a - c)) ** 2
+
+    near, _ = integrate.quad(integrand, 0.0, 40 * r, epsabs=0.0, epsrel=1e-13,
+                             limit=200)
+    far, _ = integrate.quad(integrand, 40 * r, np.inf, epsabs=0.0,
+                            epsrel=1e-13, limit=200)
+    want = 2.0 * (near + far)  # the integrand is even
+    got = fisher_1d(SmoothedModel1d(Laplace(0, 1), r))
+    assert abs(got / want - 1.0) < 1e-7
 
 
 def test_score_tail_underflow():
@@ -314,5 +361,19 @@ def test_score_moments_preconditions():
 def test_smoothed_model_validation():
     with pytest.raises(PreconditionError):
         SmoothedModel1d(Gaussian(0, 1), 0.0)
+    with pytest.raises(PreconditionError, match="ripple grid"):
+        smoothed_score_1d(SmoothedModel1d(SAW, 1e-4), 0.0)
+
+
+def test_infinite_radius_rejected():
+    inf = float("inf")
     with pytest.raises(PreconditionError):
-        SmoothedModel1d(Gaussian(0, 1), 1.0, nodes=8)
+        SmoothedModel1d(Gaussian(0, 1), inf)
+    with pytest.raises(PreconditionError):
+        SmoothedModelHd(parse_model("product(gaussian(0,1)^2)"), inf)
+    with pytest.raises(ConfigurationError):
+        Config1d(delta=0.1, r_override=inf)
+    with pytest.raises(ConfigurationError):
+        ConfigHd(delta=0.1, r=inf)
+    with pytest.raises(ConfigurationError, match="out of range"):
+        parse_config("experiment = coverage-hd\nr = inf")
