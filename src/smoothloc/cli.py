@@ -154,6 +154,8 @@ def _cmd_fisher(args) -> int:
 
 
 def _cmd_bench(args) -> int:
+    if args.threads is not None and args.threads < 1:
+        raise ConfigurationError(f"--threads must be >= 1, got {args.threads}")
     with open(args.config, "r", encoding="utf-8") as fh:
         cfg = parse_config(fh.read())
     if cfg.experiment != args.experiment:

@@ -4,6 +4,8 @@ Every failure mode raises a semantic exception naming the offending
 quantity; nothing is silently clamped or NaN-propagated.
 """
 
+import numpy as np
+
 
 class ModelSpecError(ValueError):
     """Raised when a model specification string cannot be parsed.
@@ -49,3 +51,14 @@ class EstimationError(RuntimeError):
     The message names the smallest sufficient change (more samples,
     larger r, ...) when one is known.
     """
+
+
+def require_finite_samples(x) -> None:
+    """Raise PreconditionError unless every sample (row, for 2-d x) is finite."""
+    finite = np.atleast_1d(np.isfinite(x))
+    if not finite.all():
+        where = np.flatnonzero(~finite.reshape(finite.shape[0], -1).all(axis=1))
+        raise PreconditionError(
+            f"samples must be finite: {where.size} non-finite sample(s), "
+            f"the first at index {where[0]}"
+        )

@@ -14,10 +14,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
-from .errors import ConfigurationError, EstimationError, PreconditionError, TailUnderflowError
+from .errors import (
+    ConfigurationError,
+    EstimationError,
+    PreconditionError,
+    TailUnderflowError,
+    require_finite_samples,
+)
 from .models import Density1d
 from .rng import RngSeed
 from .smoothing import SmoothedModel1d, fisher_1d, smoothed_score_1d
@@ -92,6 +99,7 @@ def local_mle_1d(base: Density1d, r: float, samples, lambda1: float,
     return lambda1 - score_mean / fisher_1d(engine)
 
 
+@lru_cache(maxsize=None)
 def choose_alpha(base: Density1d, q: float, grid_step: float = 1e-3) -> float:
     """Quantile level whose central 2q-interval is narrowest.
 
@@ -100,7 +108,8 @@ def choose_alpha(base: Density1d, q: float, grid_step: float = 1e-3) -> float:
     points whose interval would touch probability 0 or 1 count as
     infinitely wide.  Ties (within 1e-12 relative) break toward 0.5,
     then toward the smaller alpha, so symmetric densities return 0.5
-    exactly.
+    exactly.  Cached per (base, q, grid_step): every trial of a batch
+    asks the same question.
     """
     if not 0.0 < q < 0.5:
         raise PreconditionError("quantile half-width q must be in (0, 1/2)")
@@ -161,6 +170,7 @@ def global_mle_1d(base: Density1d, samples, cfg: Config1d,
     sqrt(2 log(2/delta) / (n_local * I_{r*})).
     """
     x = np.asarray(samples, dtype=float)
+    require_finite_samples(x)
     n = x.size
     log_term = math.log(2.0 / cfg.delta)
     if n < cfg.min_n_factor * log_term:

@@ -17,7 +17,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, EstimationError, PreconditionError, TailUnderflowError
+from .errors import (
+    ConfigurationError,
+    EstimationError,
+    PreconditionError,
+    TailUnderflowError,
+    require_finite_samples,
+)
 from .models import ProductDensity
 from .rng import RngSeed
 from .smoothing import FisherMatrix, SmoothedModelHd, fisher_hd, smoothed_score_hd
@@ -229,6 +235,7 @@ def global_mle_hd(base: ProductDensity, samples, cfg: ConfigHd,
     n, dim = x.shape
     if dim != base.dim:
         raise PreconditionError(f"samples have dimension {dim}, model has {base.dim}")
+    require_finite_samples(x)
     sigma_norm = float(np.linalg.eigvalsh(base.covariance()).max())
     if cfg.r * cfg.r > sigma_norm + 1e-12:
         raise ConfigurationError(

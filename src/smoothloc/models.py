@@ -316,8 +316,10 @@ class GaussianMixture(Density1d):
 
 
 def _tri_wave(t):
-    # odd triangle wave, period 2, slope +-1, peaks +-1/2 at half-integers
-    return np.abs(np.mod(t - 0.5, 2.0) - 1.0) - 0.5
+    # odd triangle wave, period 2, slope +-1, peaks +-1/2 at half-integers;
+    # s - 2 floor(s/2) rounds the same exact value as np.mod(s, 2), once
+    s = t - 0.5
+    return np.abs(s - 2.0 * np.floor(0.5 * s) - 1.0) - 0.5
 
 
 def _tri_wave_integral(t):
@@ -391,20 +393,41 @@ class GaussianSawtooth(Density1d):
         return (-14.0, 14.0)
 
     def _draw_std(self, gen, n):
-        # rejection from the Gaussian envelope; batch size depends only
-        # on the remaining count, so the accepted stream is reproducible
-        amp = 0.5 * self.w * self.slope
+        # Rejection from the Gaussian envelope m_env * phi.  The batch size
+        # depends only on the remaining count, so the candidate stream, and
+        # with it the accepted draws, is reproducible.  The test
+        # u * m_env * phi(y) <= phi(y) + fl(w*slope * tri(y/w)) is decided
+        # block by block, and stops once n are accepted.  |tri| <= 1/2 and
+        # rounding is monotone, so every ripple term lies in [-amp, amp] and
+        # the right side rounds into [fl(phi - amp), fl(phi + amp)]: a left
+        # side at or below the low end passes and one above the high end
+        # fails whatever the ripple.  Only the band between, inside the
+        # ripple's support, needs the ripple; every decision, and so every
+        # draw, is the one the full test makes.
+        ws = self.w * self.slope
+        amp = 0.5 * ws
         m_env = 1.0 + amp / float(_phi(1.0))
+        edge = self.n_teeth * self.w
         out = np.empty(n)
         k = 0
         while k < n:
             batch = max(1024, int(1.2 * (n - k) * m_env) + 1)
-            y = gen.standard_normal(batch)
-            u = gen.random(batch)
-            accepted = y[u * m_env * _phi(y) <= self._pdf_std(y)]
-            take = min(n - k, accepted.shape[0])
-            out[k : k + take] = accepted[:take]
-            k += take
+            y_batch = gen.standard_normal(batch)
+            u_batch = gen.random(batch)
+            for start in range(0, batch, _LOOKUP_BLOCK):
+                y = y_batch[start : start + _LOOKUP_BLOCK]
+                p = _phi(y)
+                lhs = u_batch[start : start + _LOOKUP_BLOCK] * m_env * p
+                keep = lhs <= p
+                band = np.flatnonzero((lhs > p - amp) & (lhs <= p + amp))
+                band = band[np.abs(y[band]) <= edge]
+                keep[band] = lhs[band] <= p[band] + ws * _tri_wave(y[band] / self.w)
+                accepted = y[keep]
+                take = min(n - k, accepted.shape[0])
+                out[k : k + take] = accepted[:take]
+                k += take
+                if k == n:
+                    break
         return out
 
     def _mean_std(self):

@@ -104,6 +104,25 @@ def test_choose_alpha_validation():
         choose_alpha(Gaussian(0, 1), 0.1, grid_step=0.0)
 
 
+def test_choose_alpha_cached_per_question(monkeypatch):
+    calls = []
+    original = GaussianMixture.quantile
+
+    def counting(self, p):
+        calls.append(np.size(p))
+        return original(self, p)
+
+    monkeypatch.setattr(GaussianMixture, "quantile", counting)
+    base = GaussianMixture((0.8, 0.2), (0.0, 3.0), (0.5, 1.0))
+    first = choose_alpha(base, 0.137, 2e-3)
+    assert calls
+    seen = len(calls)
+    assert choose_alpha(base, 0.137, 2e-3) == first
+    assert len(calls) == seen
+    choose_alpha(base, 0.138, 2e-3)  # a different question is computed
+    assert len(calls) > seen
+
+
 def test_quantile_init_plugin_shift():
     base, lam, m, alpha = Laplace(0, 1), 7.0, 101, 0.25
     grid = base.quantile(np.arange(1, m + 1) / (m + 1.0)) + lam
@@ -216,6 +235,20 @@ def test_global_small_budget_names_minimum():
     x = Gaussian(0, 1).sample(50, RngSeed(9))
     with pytest.raises(ConfigurationError, match="need n >= 300"):
         global_mle_1d(Gaussian(0, 1), x, Config1d(delta=0.1), RngSeed(10))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_global_rejects_non_finite_samples(bad):
+    # index 5 falls in the initialization slice, 9000 in the local slice
+    base, cfg = Laplace(0, 1), Config1d(delta=0.1)
+    x = base.sample(10**4, RngSeed(21))
+    for where in ((5,), (9000,), (9000, 5, 7000)):
+        y = x.copy()
+        y[list(where)] = bad
+        with pytest.raises(PreconditionError,
+                           match=rf"{len(where)} non-finite sample\(s\), "
+                                 rf"the first at index {min(where)}$"):
+            global_mle_1d(base, y, cfg, RngSeed(22))
 
 
 def test_config_validation():

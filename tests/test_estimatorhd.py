@@ -246,6 +246,20 @@ def test_global_hd_radius_vs_covariance_guard():
     global_mle_hd(LAP4, x, edge, RngSeed(2))
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_global_hd_rejects_non_finite_samples(bad):
+    # row 3 falls in the median-of-means slice, 1500 in the local slice
+    cfg = ConfigHd(delta=0.1, r=0.5, eta=0.25)
+    x = LAP4.sample(2000, RngSeed(31))
+    for where in (((3,), (1,)), ((1500,), (2,)), ((1500, 40, 40), (0, 0, 3))):
+        y = x.copy()
+        y[where] = bad
+        with pytest.raises(PreconditionError,
+                           match=rf"{len(set(where[0]))} non-finite sample\(s\), "
+                                 rf"the first at index {min(where[0])}$"):
+            global_mle_hd(LAP4, y, cfg, RngSeed(32))
+
+
 def test_global_hd_norm_matrix_mismatch():
     cfg = ConfigHd(delta=0.1, r=0.5, eta=0.25, M=np.eye(2))
     x = LAP4.sample(300, RngSeed(1))

@@ -338,6 +338,19 @@ def test_cli_bench_experiment_mismatch(tmp_path):
     assert res.stderr.startswith("error:")
 
 
+@pytest.mark.parametrize("threads", ["0", "-3"])
+def test_cli_bench_threads_override_range_checked(tmp_path, threads):
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text("experiment = coverage\nmodel = gaussian(0,1)\nn = 400\n"
+                   "trials = 2\ndelta = 0.1\nseed = 1\n")
+    out = tmp_path / "o.csv"
+    res = run_cli("bench", "coverage", "--config", str(cfg),
+                  "--out", str(out), "--threads", threads)
+    assert res.returncode == 2
+    assert res.stderr.startswith("error:") and "--threads" in res.stderr
+    assert not out.exists()
+
+
 def test_cli_bad_model_spec_exit_code():
     res = run_cli("fisher", "--model", "gauss(0,1)", "--r-grid", "0.5")
     assert res.returncode == 2

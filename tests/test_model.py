@@ -19,6 +19,7 @@ from smoothloc import (
     format_model,
     parse_model,
 )
+from smoothloc.models import _tri_wave
 
 SAW = GaussianSawtooth(0.05, 4.0)
 MIX = GaussianMixture((0.3, 0.7), (-1.0, 2.0), (0.5, 1.5))
@@ -137,6 +138,71 @@ def test_sampler_fidelity_ks(model):
     assert res.pvalue > 1e-3
     if isinstance(model, GaussianSawtooth):
         assert res.statistic < 0.01
+
+
+# The sawtooth sampler decides its rejection test blockwise and skips the
+# ripple where it cannot change the outcome.  These pin its draws, bit for
+# bit, to the plain loop that evaluates the full pdf on every candidate.
+
+
+def _reference_tri_wave(t):
+    return np.abs(np.mod(t - 0.5, 2.0) - 1.0) - 0.5
+
+
+def _reference_phi(u):
+    return np.exp(-0.5 * np.square(u)) / math.sqrt(2.0 * math.pi)
+
+
+def _reference_sawtooth_pdf(model, u):
+    out = _reference_phi(u)
+    inside = np.abs(u) <= model.n_teeth * model.w
+    out[inside] += model.w * model.slope * _reference_tri_wave(u[inside] / model.w)
+    return out
+
+
+def _reference_sawtooth_draw(model, gen, n):
+    amp = 0.5 * model.w * model.slope
+    m_env = 1.0 + amp / float(_reference_phi(1.0))
+    out = np.empty(n)
+    k = 0
+    while k < n:
+        batch = max(1024, int(1.2 * (n - k) * m_env) + 1)
+        y = gen.standard_normal(batch)
+        u = gen.random(batch)
+        phi = _reference_phi(y)
+        accepted = y[u * m_env * phi <= _reference_sawtooth_pdf(model, y)]
+        take = min(n - k, accepted.shape[0])
+        out[k : k + take] = accepted[:take]
+        k += take
+    return out
+
+
+@pytest.mark.parametrize("w,slope", [(0.05, 4.0), (0.05, 0.0), (0.01, 20.0),
+                                     (0.02, 10.0), (0.3, 1.2), (0.5, 0.8)])
+def test_sawtooth_draws_match_reference_loop(w, slope):
+    model = GaussianSawtooth(w, slope)
+    # one draw, under one block, across several blocks, a full phase-scan n
+    for n, seed in ((1, 1), (1000, 2), (200_001, 3), (10**6, 4)):
+        got = model.sample(n, RngSeed(seed, 7))
+        want = _reference_sawtooth_draw(model, RngSeed(seed, 7).generator(), n)
+        assert np.array_equal(got, want), (w, slope, n)
+    shifted = model.shifted(2.5).sample(5000, RngSeed(8))
+    assert np.array_equal(
+        shifted, _reference_sawtooth_draw(model, RngSeed(8).generator(), 5000) + 2.5)
+
+
+def test_tri_wave_floor_form_matches_mod_form_bitwise():
+    t = np.concatenate([
+        np.linspace(-25.0, 25.0, 2_000_001),
+        np.arange(-50.0, 50.5, 0.5),            # every integer and half-integer
+        np.arange(-1000, 1001) * 0.05 / 0.05,   # rounded tooth positions
+        np.arange(-1000, 1001) * 0.01 / 0.03,
+        np.nextafter(np.arange(-20.0, 20.5, 0.5), np.inf),
+        np.nextafter(np.arange(-20.0, 20.5, 0.5), -np.inf),
+        [0.0, -0.0, 5e-324, -5e-324, 1e-300, -1e-300, 1e15 + 0.5, -1e15 - 0.5],
+    ])
+    assert np.array_equal(_tri_wave(t).view(np.int64),
+                          _reference_tri_wave(t).view(np.int64))
 
 
 # -- product densities ---------------------------------------------------
