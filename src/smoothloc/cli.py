@@ -23,6 +23,7 @@ from .errors import (
 from .estimator1d import Config1d, global_mle_1d
 from .estimatorhd import ConfigHd, global_mle_hd, m_norm
 from .harness import (
+    EXPERIMENTS,
     CsvTable,
     parse_config,
     run_experiment,
@@ -30,9 +31,6 @@ from .harness import (
 )
 from .models import Density1d, ProductDensity, parse_model
 from .rng import RngSeed
-
-_BENCH_EXPERIMENTS = ("coverage", "coverage-hd", "sawtooth-phase",
-                      "concentration")
 
 
 def _float_list(text: str):
@@ -78,7 +76,7 @@ def build_parser() -> argparse.ArgumentParser:
                      help="comma-separated smoothing radii")
 
     ben = sub.add_parser("bench", help="run a config-file experiment")
-    ben.add_argument("experiment", choices=_BENCH_EXPERIMENTS)
+    ben.add_argument("experiment", choices=tuple(EXPERIMENTS))
     ben.add_argument("--config", required=True)
     ben.add_argument("--out", required=True)
     ben.add_argument("--threads", type=int, default=None,

@@ -282,40 +282,3 @@ def mgf_check(gen: VectorGenerator, v, lambda_grid, n_mc: int,
     margins = envelope - (empirical - 3.0 * std_err)
     worst = float(margins.min())
     return MgfReport(bool(worst >= 0.0), worst, lambdas, empirical, std_err, envelope)
-
-
-@dataclass(frozen=True)
-class TailReport:
-    """Empirical norm quantiles next to both bounds on a delta grid."""
-
-    deltas: tuple
-    empirical: tuple
-    subgamma: tuple
-    gaussian: tuple
-    n_trials: int
-    seed: RngSeed
-
-
-def tail_report(gen: VectorGenerator, deltas, n_trials: int,
-                seed: RngSeed) -> TailReport:
-    """One shared batch of draws, order statistics on a delta grid."""
-    deltas = tuple(float(d) for d in deltas)
-    if not deltas:
-        raise PreconditionError("delta grid must be nonempty")
-    for d in deltas:
-        if not 0.0 < d < 1.0:
-            raise PreconditionError("deltas must be in (0, 1)")
-    if n_trials < math.ceil(10.0 / min(deltas)):
-        raise ConfigurationError(
-            f"n_trials={n_trials} too small for delta={min(deltas)}; "
-            f"need at least {math.ceil(10.0 / min(deltas))}"
-        )
-    norms = np.sort(np.linalg.norm(gen.draw(n_trials, seed), axis=1))
-    emp = []
-    for d in deltas:
-        idx = int(math.ceil((1.0 - d) * n_trials))
-        emp.append(float(norms[min(max(idx, 1), n_trials) - 1]))
-    sub = [norm_bound(gen.claimed, d) for d in deltas]
-    gau = [gaussian_tail(gen.claimed.sigma, d) for d in deltas]
-    return TailReport(deltas, tuple(emp), tuple(sub), tuple(gau),
-                      int(n_trials), seed)

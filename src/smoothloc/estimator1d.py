@@ -86,6 +86,7 @@ def local_mle_1d(base: Density1d, r: float, samples, lambda1: float,
     x = np.asarray(samples, dtype=float)
     if x.ndim != 1 or x.size == 0:
         raise PreconditionError("samples must be a nonempty 1-d sequence")
+    require_finite_samples(x)
     noise = seed.generator().standard_normal(x.shape)
     perturbed = x + r * noise
     engine = SmoothedModel1d(base, r)

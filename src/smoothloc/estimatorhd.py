@@ -179,6 +179,7 @@ def local_mle_hd(base: ProductDensity, r: float, samples, lambda1,
         raise PreconditionError("samples must be a nonempty (n, d) array")
     if lambda1.shape != (x.shape[1],):
         raise PreconditionError("lambda1 must match the sample dimension")
+    require_finite_samples(x)
     engine = SmoothedModelHd(base, r)
     noise = seed.generator().standard_normal(x.shape)
     perturbed = x + r * noise

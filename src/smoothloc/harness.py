@@ -1,11 +1,12 @@
 """Experiment drivers with deterministic CSV output.
 
-Four batch studies (fisher sweep, 1-d coverage, sawtooth phase scan,
-norm-concentration sweep) plus the config-file grammar that describes
-them.  Every driver returns a :class:`CsvTable` whose bytes depend only
-on the configuration and the root seed: trials are parallelized as
-whole units, each trial derives its own RNG stream from (seed, trial
-index), and results are reassembled in trial order before emission.
+Five batch studies (fisher sweep, 1-d and high-d coverage, sawtooth
+phase scan, norm-concentration sweep), declared once in `EXPERIMENTS`,
+plus the config-file grammar that describes them.  Every driver returns
+a :class:`CsvTable` whose bytes depend only on the configuration and
+the root seed: trials are parallelized as whole units, each trial
+derives its own RNG stream from (seed, trial index), and results are
+reassembled in trial order before emission.
 """
 
 from __future__ import annotations
@@ -138,36 +139,7 @@ def _format_value(kind: str, value) -> str:
     return ",".join(_format_value(base, v) for v in value)
 
 
-_COMMON_KEYS = {"experiment": "str", "seed": "int", "threads": "int", "out": "str"}
-
-_EXPERIMENT_KEYS = {
-    "estimate": {
-        "model": "str", "n": "int", "delta": "float", "r": "float",
-        "lambda-true": "float",
-    },
-    "estimate-hd": {
-        "model": "str", "n": "int", "delta": "float", "r": "float",
-        "eta": "float", "lambda-true": "float-list",
-    },
-    "fisher-sweep": {"model": "str", "r-grid": "float-list"},
-    "coverage": {
-        "model": "str", "n": "int", "trials": "int", "delta": "float",
-        "r": "float", "lambda-scale": "float",
-    },
-    "coverage-hd": {
-        "model": "str", "n": "int", "trials": "int", "delta": "float",
-        "r": "float", "eta": "float", "lambda-scale": "float",
-    },
-    "sawtooth-phase": {
-        "w": "float", "slope": "float", "n-grid": "int-list",
-        "trials": "int", "delta": "float", "min-n-factor": "float",
-        "lambda-scale": "float",
-    },
-    "concentration": {
-        "families": "str-list", "d-grid": "int-list",
-        "delta-grid": "float-list", "trials": "int",
-    },
-}
+_COMMON_KEYS = {"experiment": "str", "seed": "int", "threads": "int"}
 
 # Light range screening at parse time; the target modules stay
 # authoritative and re-check on use.
@@ -208,15 +180,17 @@ class ExperimentConfig:
         return self.values[key]
 
 
-def _schema_for(experiment: str) -> Mapping[str, str]:
-    if experiment not in _EXPERIMENT_KEYS:
-        known = ", ".join(sorted(_EXPERIMENT_KEYS))
+def _experiment(name: str) -> _Experiment:
+    if name not in EXPERIMENTS:
+        known = ", ".join(sorted(EXPERIMENTS))
         raise ConfigurationError(
-            f"unknown experiment '{experiment}' (expected one of {known})"
+            f"unknown experiment '{name}' (expected one of {known})"
         )
-    schema = dict(_COMMON_KEYS)
-    schema.update(_EXPERIMENT_KEYS[experiment])
-    return schema
+    return EXPERIMENTS[name]
+
+
+def _schema_for(experiment: str) -> Mapping[str, str]:
+    return {**_COMMON_KEYS, **_experiment(experiment).keys}
 
 
 def parse_config(text: str) -> ExperimentConfig:
@@ -282,6 +256,35 @@ def _median_or_none(values):
     return float(np.median(values)) if values else None
 
 
+def _trial(estimate, base, cfg, n: int, ts: RngSeed, lambda_scale: float,
+           dim=None):
+    """One simulated round: (lambda, samples, report or "error: ...").
+
+    The shift comes from ts.derive(1) (a float, or a `dim`-vector), the
+    samples from ts.derive(2) and the estimator's seed is ts.derive(3).
+    """
+    lam = ts.derive(1).generator().uniform(-lambda_scale, lambda_scale,
+                                           size=dim)
+    x = base.sample(int(n), ts.derive(2)) + lam
+    try:
+        return lam, x, estimate(base, x, cfg, ts.derive(3))
+    except _TRIAL_ERRORS as e:
+        return lam, x, f"error: {e}"
+
+
+def _tally(rows):
+    """Error-free rows (empty note) and the summary note of a coverage run.
+
+    Every row ends in (within_flag, note); errors count against coverage.
+    """
+    ok = [r for r in rows if r[-1] == ""]
+    failures = sum(1 for r in ok if r[-2] == 0)
+    errors = len(rows) - len(ok)
+    rate = (failures + errors) / len(rows)
+    return ok, (f"failure_rate={rate:.9g} failures={failures} "
+                f"errors={errors} trials={len(rows)}")
+
+
 # -- fisher sweep ------------------------------------------------------
 
 
@@ -298,12 +301,6 @@ def run_fisher_sweep(model_spec: str, r_grid) -> CsvTable:
 
 
 # -- 1-d coverage ------------------------------------------------------
-
-
-def _coverage_note(failures: int, errors: int, trials: int) -> str:
-    rate = (failures + errors) / trials
-    return (f"failure_rate={rate:.9g} failures={failures} "
-            f"errors={errors} trials={trials}")
 
 
 def run_coverage(model_spec: str, n: int, trials: int, delta: float,
@@ -325,14 +322,10 @@ def run_coverage(model_spec: str, n: int, trials: int, delta: float,
     base_mean = base.mean()
 
     def one(t: int) -> tuple:
-        ts = root.derive(t)
-        lam = float(ts.derive(1).generator().uniform(-lambda_scale,
-                                                     lambda_scale))
-        x = base.sample(int(n), ts.derive(2)) + lam
-        try:
-            rep = global_mle_1d(base, x, cfg, ts.derive(3))
-        except _TRIAL_ERRORS as e:
-            return (t, lam, None, None, None, None, None, f"error: {e}")
+        lam, x, rep = _trial(global_mle_1d, base, cfg, n, root.derive(t),
+                             lambda_scale)
+        if isinstance(rep, str):
+            return (t, lam, None, None, None, None, None, rep)
         abs_err = abs(rep.lambda_hat - lam)
         baseline = abs(float(np.mean(x[rep.n_used_init:])) - base_mean - lam)
         within = abs_err <= rep.theoretical_radius
@@ -340,10 +333,7 @@ def run_coverage(model_spec: str, n: int, trials: int, delta: float,
                 rep.theoretical_radius, int(within), "")
 
     rows = _map_trials(one, int(trials), threads)
-    ok = [r for r in rows if r[7] == ""]
-    errors = len(rows) - len(ok)
-    failures = sum(1 for r in ok if r[6] == 0)
-    note = _coverage_note(failures, errors, len(rows))
+    ok, note = _tally(rows)
     rows.append(("summary", None, None,
                  _median_or_none([r[3] for r in ok]),
                  _median_or_none([r[4] for r in ok]),
@@ -368,23 +358,16 @@ def run_coverage_hd(model_spec: str, n: int, trials: int, delta: float,
     root = RngSeed(int(seed))
 
     def one(t: int) -> tuple:
-        ts = root.derive(t)
-        lam = ts.derive(1).generator().uniform(-lambda_scale, lambda_scale,
-                                               size=base.dim)
-        x = base.sample(int(n), ts.derive(2)) + lam
-        try:
-            rep = global_mle_hd(base, x, cfg, ts.derive(3))
-        except _TRIAL_ERRORS as e:
-            return (t, None, None, None, f"error: {e}")
+        lam, _, rep = _trial(global_mle_hd, base, cfg, n, root.derive(t),
+                             lambda_scale, dim=base.dim)
+        if isinstance(rep, str):
+            return (t, None, None, None, rep)
         err = m_norm(rep.lambda_hat - lam, M)
         within = err <= rep.m_norm_error_bound
         return (t, err, rep.m_norm_error_bound, int(within), "")
 
     rows = _map_trials(one, int(trials), threads)
-    ok = [r for r in rows if r[4] == ""]
-    errors = len(rows) - len(ok)
-    failures = sum(1 for r in ok if r[3] == 0)
-    note = _coverage_note(failures, errors, len(rows))
+    ok, note = _tally(rows)
     rows.append(("summary",
                  _median_or_none([r[1] for r in ok]),
                  ok[0][2] if ok else None, None, note))
@@ -412,26 +395,21 @@ def run_sawtooth_phase(w: float, slope: float, n_grid, trials: int,
     rows = []
     for i_n, n in enumerate(int(v) for v in n_grid):
 
-        def one(t: int, i_n=i_n, n=n) -> tuple:
-            ts = root.derive(i_n, t)
-            lam = float(ts.derive(1).generator().uniform(-lambda_scale,
-                                                         lambda_scale))
-            x = base.sample(n, ts.derive(2)) + lam
-            try:
-                rep = global_mle_1d(base, x, cfg, ts.derive(3))
-            except _TRIAL_ERRORS as e:
-                return (None, f"error: {e}")
-            return (abs(rep.lambda_hat - lam), rep)
+        def one(t: int, i_n=i_n, n=n):
+            lam, _, rep = _trial(global_mle_1d, base, cfg, n,
+                                 root.derive(i_n, t), lambda_scale)
+            return rep if isinstance(rep, str) else (
+                abs(rep.lambda_hat - lam), rep)
 
         results = _map_trials(one, int(trials), threads)
-        errs = [a for a, _ in results if a is not None]
-        n_errors = len(results) - len(errs)
-        rep = next((r for _, r in results if not isinstance(r, str)), None)
-        if rep is None:
+        ok = [r for r in results if not isinstance(r, str)]
+        n_errors = len(results) - len(ok)
+        if not ok:
             rows.append((n, None, None, None, None, None, None,
                          int(trials), n_errors))
             continue
-        med = float(np.median(errs))
+        med = float(np.median([a for a, _ in ok]))
+        rep = ok[0][1]
         rows.append((n, med * math.sqrt(n), rep.r_used, rep.fisher_at_r,
                      med, med * math.sqrt(rep.n_used_local),
                      rep.n_used_local, int(trials), n_errors))
@@ -482,42 +460,66 @@ def run_concentration(families, d_grid, delta_grid, trials: int,
 # -- config-driven dispatch --------------------------------------------
 
 
-def run_experiment(cfg: ExperimentConfig, threads=None) -> CsvTable:
-    """Run a batch experiment described by a parsed config."""
-    threads = int(cfg.get("threads", 1) if threads is None else threads)
-    if cfg.experiment == "fisher-sweep":
-        return run_fisher_sweep(cfg.require("model"), cfg.require("r-grid"))
-    if cfg.experiment == "coverage":
-        return run_coverage(
-            cfg.require("model"), n=cfg.require("n"),
-            trials=cfg.require("trials"), delta=cfg.require("delta"),
-            seed=cfg.require("seed"), threads=threads,
-            lambda_scale=cfg.get("lambda-scale", 2.0),
-            r_override=cfg.get("r"),
-        )
-    if cfg.experiment == "coverage-hd":
-        return run_coverage_hd(
-            cfg.require("model"), n=cfg.require("n"),
-            trials=cfg.require("trials"), delta=cfg.require("delta"),
-            r=cfg.require("r"), seed=cfg.require("seed"),
-            eta=cfg.get("eta", 0.25), threads=threads,
-            lambda_scale=cfg.get("lambda-scale", 2.0),
-        )
-    if cfg.experiment == "sawtooth-phase":
-        return run_sawtooth_phase(
-            w=cfg.require("w"), slope=cfg.require("slope"),
-            n_grid=cfg.require("n-grid"), trials=cfg.require("trials"),
-            delta=cfg.require("delta"), seed=cfg.require("seed"),
-            threads=threads, min_n_factor=cfg.get("min-n-factor", 30.0),
-            lambda_scale=cfg.get("lambda-scale", 2.0),
-        )
-    if cfg.experiment == "concentration":
-        return run_concentration(
-            families=cfg.require("families"), d_grid=cfg.require("d-grid"),
-            delta_grid=cfg.require("delta-grid"),
-            trials=cfg.require("trials"), seed=cfg.require("seed"),
+def _optional(cfg: ExperimentConfig, **keys) -> dict:
+    """Keyword arguments (arg="config-key") for the optional keys cfg sets.
+
+    A key the config leaves out keeps the runner's own default.
+    """
+    return {arg: cfg.values[key] for arg, key in keys.items()
+            if key in cfg.values}
+
+
+@dataclass(frozen=True)
+class _Experiment:
+    keys: Mapping[str, str]  # config key -> value kind, beyond the common keys
+    run: Callable[[ExperimentConfig, int], CsvTable]  # (config, threads)
+
+
+# The batch experiments: the config grammar, `run_experiment` and the
+# `smoothloc bench` command all read this one table.
+EXPERIMENTS: Mapping[str, _Experiment] = {
+    "fisher-sweep": _Experiment(
+        {"model": "str", "r-grid": "float-list"},
+        lambda c, threads: run_fisher_sweep(c.require("model"),
+                                            c.require("r-grid"))),
+    "coverage": _Experiment(
+        {"model": "str", "n": "int", "trials": "int", "delta": "float",
+         "r": "float", "lambda-scale": "float"},
+        lambda c, threads: run_coverage(
+            c.require("model"), c.require("n"), c.require("trials"),
+            c.require("delta"), c.require("seed"), threads,
+            **_optional(c, lambda_scale="lambda-scale", r_override="r"))),
+    "coverage-hd": _Experiment(
+        {"model": "str", "n": "int", "trials": "int", "delta": "float",
+         "r": "float", "eta": "float", "lambda-scale": "float"},
+        lambda c, threads: run_coverage_hd(
+            c.require("model"), c.require("n"), c.require("trials"),
+            c.require("delta"), c.require("r"), c.require("seed"),
             threads=threads,
-        )
-    raise ConfigurationError(
-        f"experiment '{cfg.experiment}' is not a batch experiment"
-    )
+            **_optional(c, eta="eta", lambda_scale="lambda-scale"))),
+    "sawtooth-phase": _Experiment(
+        {"w": "float", "slope": "float", "n-grid": "int-list",
+         "trials": "int", "delta": "float", "min-n-factor": "float",
+         "lambda-scale": "float"},
+        lambda c, threads: run_sawtooth_phase(
+            c.require("w"), c.require("slope"), c.require("n-grid"),
+            c.require("trials"), c.require("delta"), c.require("seed"),
+            threads, **_optional(c, min_n_factor="min-n-factor",
+                                 lambda_scale="lambda-scale"))),
+    "concentration": _Experiment(
+        {"families": "str-list", "d-grid": "int-list",
+         "delta-grid": "float-list", "trials": "int"},
+        lambda c, threads: run_concentration(
+            c.require("families"), c.require("d-grid"),
+            c.require("delta-grid"), c.require("trials"), c.require("seed"),
+            threads)),
+}
+
+
+def run_experiment(cfg: ExperimentConfig, threads=None) -> CsvTable:
+    """Run a batch experiment; `threads` overrides the config's key."""
+    experiment = _experiment(cfg.experiment)
+    threads = int(cfg.get("threads", 1) if threads is None else threads)
+    if threads < 1:
+        raise ConfigurationError(f"threads must be >= 1, got {threads}")
+    return experiment.run(cfg, threads)

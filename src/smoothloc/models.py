@@ -598,9 +598,6 @@ class ProductDensity:
     def mean(self):
         return np.array([c.mean() for c in self.components])
 
-    def shift_vector(self):
-        return np.array([c.shift for c in self.components])
-
     def shifted(self, c):
         c = np.broadcast_to(np.asarray(c, dtype=float), (self.dim,))
         return ProductDensity(

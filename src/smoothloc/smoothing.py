@@ -28,7 +28,7 @@ from functools import lru_cache
 import numpy as np
 from scipy import special
 
-from .errors import ConfigurationError, PreconditionError, TailUnderflowError
+from .errors import PreconditionError, TailUnderflowError
 from .models import Density1d, ProductDensity
 from .rng import RngSeed
 
@@ -133,7 +133,6 @@ def expected_shifted_score(m: SmoothedModel1d, eps: float) -> float:
 class SmoothedModelHd:
     base: ProductDensity
     r: float
-    mc_samples: int = 200_000
 
     def __post_init__(self):
         if not isinstance(self.base, ProductDensity):
@@ -152,13 +151,9 @@ def _coord_engines(m: SmoothedModelHd):
 
 @dataclass(frozen=True)
 class FisherMatrix:
-    """Smoothed Fisher information with its Monte Carlo error flag.
-
-    relative_se is 0 for the exact (quadrature, product-diagonal) path.
-    """
+    """Smoothed Fisher information, symmetrized on construction."""
 
     matrix: np.ndarray
-    relative_se: float = 0.0
 
     def __post_init__(self):
         mat = np.asarray(self.matrix, dtype=float)
@@ -189,37 +184,9 @@ def smoothed_score_hd(m: SmoothedModelHd, x, coords=None):
     return out[0] if squeeze else out
 
 
-def fisher_hd(m: SmoothedModelHd, method: str = "quadrature",
-              n_mc: int | None = None, seed: RngSeed | None = None) -> FisherMatrix:
-    """I_R: exact diagonal via per-coordinate quadrature, or Monte Carlo.
-
-    The Monte Carlo path exists for cross-checking; it reports its
-    relative standard error and is floored so that I_R - (Sigma+R)^{-1}
-    stays positive semidefinite before any inversion.
-    """
-    if method == "quadrature":
-        diag = np.array([fisher_1d(e) for e in _coord_engines(m)])
-        return FisherMatrix(np.diag(diag), 0.0)
-    if method != "mc":
-        raise PreconditionError("method must be 'quadrature' or 'mc'")
-    n = m.mc_samples if n_mc is None else int(n_mc)
-    if n < 1000:
-        raise ConfigurationError("Monte Carlo Fisher needs at least 1000 samples")
-    if seed is None:
-        raise ConfigurationError("Monte Carlo Fisher needs an explicit seed")
-    y = m.base.sample(n, seed.derive(1))
-    noise = seed.derive(2).generator().standard_normal(y.shape)
-    scores = smoothed_score_hd(m, y + m.r * noise)
-    mat = scores.T @ scores / n
-    se = np.std(scores[:, :, None] * scores[:, None, :], axis=0) / math.sqrt(n)
-    rel = float(np.max(np.diag(se) / np.maximum(np.diag(mat), 1e-30)))
-    # smoothed information never drops below (Sigma + R)^{-1}; floor the
-    # noisy estimate there so the inverse stays well-posed
-    bound = np.linalg.inv(m.base.covariance() + m.r**2 * np.eye(m.dim))
-    gap = np.linalg.eigvalsh(0.5 * (mat + mat.T) - bound).min()
-    if gap < 0:
-        mat = mat + (-gap) * np.eye(m.dim)
-    return FisherMatrix(mat, rel)
+def fisher_hd(m: SmoothedModelHd) -> FisherMatrix:
+    """I_R: the exact diagonal, one 1-d quadrature per coordinate."""
+    return FisherMatrix(np.diag([fisher_1d(e) for e in _coord_engines(m)]))
 
 
 # -- diagnostic checks ---------------------------------------------------

@@ -24,7 +24,6 @@ from smoothloc import (
     score_vector_generator,
     tail_bound,
 )
-from smoothloc.concentration import tail_report
 
 I4I4 = SubgammaSpec(np.eye(4), np.eye(4))
 
@@ -232,18 +231,3 @@ def test_score_vector_generator_centered_and_claimed():
     with pytest.raises(PreconditionError):
         score_vector_generator(m, np.array([0.3, 0.0, 0.0, 0.0]))
 
-
-def test_tail_report_grid():
-    gen = gaussian_generator(np.eye(8))
-    deltas = (0.2, 0.1, 0.05, 0.01)
-    rep = tail_report(gen, deltas, 5000, RngSeed(33))
-    assert rep.deltas == deltas and rep.n_trials == 5000
-    assert np.all(np.diff(rep.empirical) >= 0)  # rarer events sit further out
-    for emp, sub, gau in zip(rep.empirical, rep.subgamma, rep.gaussian):
-        assert emp <= gau <= sub
-    again = tail_report(gen, deltas, 5000, RngSeed(33))
-    assert rep == again
-    with pytest.raises(PreconditionError):
-        tail_report(gen, (), 5000, RngSeed(1))
-    with pytest.raises(ConfigurationError):
-        tail_report(gen, (0.001,), 5000, RngSeed(1))

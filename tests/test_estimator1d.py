@@ -251,6 +251,14 @@ def test_global_rejects_non_finite_samples(bad):
             global_mle_1d(base, y, cfg, RngSeed(22))
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_local_rejects_non_finite_samples(bad):
+    x = np.array([0.5, bad, 1.0, bad])
+    with pytest.raises(PreconditionError,
+                       match=r"2 non-finite sample\(s\), the first at index 1$"):
+        local_mle_1d(Laplace(0, 1), 0.3, x, 0.0, RngSeed(1))
+
+
 def test_config_validation():
     for bad in (dict(delta=0.0), dict(delta=0.6),
                 dict(delta=0.1, r_override=-1.0),

@@ -260,6 +260,15 @@ def test_global_hd_rejects_non_finite_samples(bad):
             global_mle_hd(LAP4, y, cfg, RngSeed(32))
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_local_hd_rejects_non_finite_samples(bad):
+    x = LAP4.sample(50, RngSeed(33))
+    x[7, 2] = bad
+    with pytest.raises(PreconditionError,
+                       match=r"1 non-finite sample\(s\), the first at index 7$"):
+        local_mle_hd(LAP4, 0.5, x, np.zeros(4), RngSeed(34))
+
+
 def test_global_hd_norm_matrix_mismatch():
     cfg = ConfigHd(delta=0.1, r=0.5, eta=0.25, M=np.eye(2))
     x = LAP4.sample(300, RngSeed(1))

@@ -10,6 +10,7 @@ import pytest
 from smoothloc import (
     ConfigurationError,
     CsvTable,
+    ExperimentConfig,
     ModelSpecError,
     PreconditionError,
     RngSeed,
@@ -24,6 +25,7 @@ from smoothloc import (
     run_fisher_sweep,
     run_sawtooth_phase,
 )
+from smoothloc.harness import EXPERIMENTS
 
 SUMMARY_RE = re.compile(
     r"failure_rate=(\S+) failures=(\d+) errors=(\d+) trials=(\d+)")
@@ -83,6 +85,8 @@ def test_config_round_trip_idempotent():
     ("experiment = coverage\nn = 3\nn = 4", "duplicate key"),
     ("experiment = coverage\nbogus = 1", "unknown key"),
     ("experiment = warp", "unknown experiment"),
+    ("experiment = estimate", "unknown experiment"),
+    ("experiment = coverage\nout = x.csv", "unknown key"),
     ("experiment = coverage\nn = 3.5", "expects int"),
     ("experiment = coverage\ndelta = 1.5", "out of range"),
     ("experiment = fisher-sweep\nr-grid = 0.5,-1", "out of range"),
@@ -244,6 +248,8 @@ def test_concentration_grid_and_cell_seeding():
                         "bound_subgamma", "bound_gaussian", "seed")
     assert len(t.rows) == 8
     assert all(r[4] <= r[5] for r in t.rows)
+    # empirical <= gaussian baseline <= subgamma bound
+    assert all(r[4] <= r[6] <= r[5] for r in t.rows)
     assert all(r[3] == 2000 and r[7] == 77 for r in t.rows)
     # cell 3 is (gaussian, d=16, delta=0.05); its stream is derive(3)
     direct = empirical_norm_quantile(
@@ -276,12 +282,18 @@ def test_run_experiment_uses_config_threads_and_seed():
     assert run_experiment(cfg, threads=4).to_csv() == direct.to_csv()
 
 
-def test_run_experiment_rejects_single_shot():
-    cfg = parse_config(
-        "experiment = estimate\nmodel = gaussian(0,1)\nn = 400\ndelta = 0.1\n"
-        "seed = 1")
-    with pytest.raises(ConfigurationError, match="not a batch experiment"):
+def test_run_experiment_rejects_unknown_experiment():
+    cfg = ExperimentConfig("estimate", {"seed": 1})
+    with pytest.raises(ConfigurationError, match="unknown experiment"):
         run_experiment(cfg)
+
+
+@pytest.mark.parametrize("threads", [0, -3])
+def test_run_experiment_threads_range_checked(threads):
+    cfg = parse_config("experiment = coverage\nmodel = gaussian(0,1)\n"
+                       "n = 400\ntrials = 2\ndelta = 0.1\nseed = 1")
+    with pytest.raises(ConfigurationError, match=f"got {threads}$"):
+        run_experiment(cfg, threads=threads)
 
 
 # -- command line ---------------------------------------------------------------------
@@ -310,6 +322,25 @@ def test_cli_fisher_stdout():
     assert [float(r[0]) for r in rows] == [0.5, 1.0]
     assert float(rows[0][1]) == pytest.approx(0.8, abs=1e-6)
     assert float(rows[1][1]) == pytest.approx(0.5, abs=1e-6)
+
+
+def test_cli_bench_fisher_sweep_matches_fisher(tmp_path):
+    cfg = tmp_path / "f.cfg"
+    cfg.write_text("experiment = fisher-sweep\nmodel = laplace(0,1)\n"
+                   "r-grid = 0.1,0.5,2\n")
+    out = tmp_path / "f.csv"
+    res = run_cli("bench", "fisher-sweep", "--config", str(cfg),
+                  "--out", str(out))
+    assert res.returncode == 0, res.stderr
+    fisher = run_cli("fisher", "--model", "laplace(0,1)",
+                     "--r-grid", "0.1,0.5,2")
+    assert out.read_bytes() == fisher.stdout.encode()
+
+
+def test_cli_bench_lists_the_registry():
+    res = run_cli("bench", "--help")
+    assert res.returncode == 0
+    assert "{" + ",".join(EXPERIMENTS) + "}" in res.stdout
 
 
 def test_cli_estimate_reports_fields(tmp_path):
