@@ -5,6 +5,17 @@ inverse-Fisher-weighted step on the mean smoothed score.  The global
 stage first runs geometric median-of-means on a small slice to get a
 heavy-tail-robust initial vector, then hands the rest to the local stage.
 
+Both stages work on a block of trials: a (B, n, d) stack of sample
+sets, one row per trial, each row with its own noise stream.  Weiszfeld
+advances every row's bucket means together and freezes each row when
+its own test stops it; the score is one evaluation per coordinate over
+the whole block; the step is I_R^{-1} times each row's mean score.  A
+row gets the same numbers, bit for bit, as it would alone, and one
+row's score underflow becomes that row's error, never the block's.
+The single-trial functions are the B = 1 case.  What every trial of n
+samples shares (the checks, the split, I_R^{-1}, the bound) is an
+HdPlan, computed once per run by the batch driver.
+
 Error reports use the M-norm sqrt(x^T M x) and the deviation bound
 (1+eta)*sqrt(Tr T/n) + 5*sqrt(||T|| log(4/delta)/n) with
 T = M^{1/2} I_R^{-1} M^{1/2}.
@@ -21,12 +32,16 @@ from .errors import (
     ConfigurationError,
     EstimationError,
     PreconditionError,
-    TailUnderflowError,
     require_finite_samples,
 )
 from .models import ProductDensity
 from .rng import RngSeed
-from .smoothing import FisherMatrix, SmoothedModelHd, fisher_hd, smoothed_score_hd
+from .smoothing import (
+    FisherMatrix,
+    SmoothedModelHd,
+    _smoothed_score_rows,
+    fisher_hd,
+)
 
 _SYM_TOL = 1e-10
 _WEISZFELD_TOL = 1e-10
@@ -40,7 +55,7 @@ class ConfigHd:
     M is the norm matrix of the error report (identity if omitted).
     init_fraction defaults to eta/10, the slice handed to the robust
     initializer.  The model-dependent requirement r^2 <= ||Sigma|| is
-    checked by global_mle_hd, which sees the model.
+    checked by plan_hd, which sees the model.
     """
 
     delta: float
@@ -105,6 +120,11 @@ def m_norm(x, M) -> float:
     x = np.asarray(x, dtype=float)
     M = np.asarray(M, dtype=float)
     _require_sym_psd(M)
+    return m_norm_unchecked(x, M)
+
+
+def m_norm_unchecked(x: np.ndarray, M: np.ndarray) -> float:
+    """m_norm for an M that has already been checked."""
     return math.sqrt(max(float(x @ M @ x), 0.0))
 
 
@@ -112,29 +132,62 @@ def _bucket_count(delta: float, multiplier: float) -> int:
     return int(math.ceil(multiplier * math.log(2.0 / delta)))
 
 
+def _row_norms(a: np.ndarray) -> np.ndarray:
+    """2-norm of each row, rounded as np.linalg.norm rounds one (a dot)."""
+    return np.sqrt((a[:, None, :] @ a[:, :, None])[:, 0, 0])
+
+
 def _weiszfeld(points: np.ndarray) -> np.ndarray:
-    y = points.mean(axis=0)
+    """Geometric median of each row of a (B, k, d) stack of point sets.
+
+    Rows iterate together, and a row leaves the iteration when its own
+    test stops it: the step falls to _WEISZFELD_TOL, all its points
+    coincide, or the subgradient test passes at a data point (Vardi and
+    Zhang), else it is nudged off that point.  Every row runs the
+    iterations, and rounds the numbers, that it would run alone.
+    """
+    out = points.mean(axis=1)
+    rows = np.arange(points.shape[0])
+    p, y = points, out.copy()
     for _ in range(_WEISZFELD_CAP):
-        dist = np.linalg.norm(points - y, axis=1)
+        dist = np.linalg.norm(p - y[:, None, :], axis=2)
         at_point = dist < 1e-12
-        if np.all(at_point):
-            return y
-        if np.any(at_point):
-            # subgradient optimality test at a data point, else nudge off it
-            rest = ~at_point
-            g = np.sum((points[rest] - y) / dist[rest, None], axis=0)
+        hit = at_point.any(axis=1)
+        stop = np.zeros(rows.size, dtype=bool)
+        for i in np.flatnonzero(hit):
+            # at a data point: subgradient optimality test, else nudge off it
+            rest = ~at_point[i]
+            if not rest.any():
+                stop[i] = True
+                continue
+            g = np.sum((p[i][rest] - y[i]) / dist[i][rest, None], axis=0)
             gn = float(np.linalg.norm(g))
-            if gn <= np.count_nonzero(at_point) + 1e-12:
-                return y
-            y = y + (1e-12 / gn) * g
-            continue
-        w = 1.0 / dist
-        y_next = (points * w[:, None]).sum(axis=0) / w.sum()
-        step = float(np.linalg.norm(y_next - y)) / max(1.0, float(np.linalg.norm(y_next)))
-        y = y_next
-        if step <= _WEISZFELD_TOL:
-            break
-    return y
+            if gn <= np.count_nonzero(at_point[i]) + 1e-12:
+                stop[i] = True
+            else:
+                y[i] = y[i] + (1e-12 / gn) * g
+        free = np.flatnonzero(~hit)
+        if free.size:
+            w = 1.0 / dist[free]
+            y_next = (p[free] * w[:, :, None]).sum(axis=1) / w.sum(axis=1)[:, None]
+            step = _row_norms(y_next - y[free]) / np.fmax(1.0, _row_norms(y_next))
+            y[free] = y_next
+            stop[free] = step <= _WEISZFELD_TOL
+        if stop.any():
+            out[rows[stop]] = y[stop]
+            keep = ~stop
+            rows, p, y = rows[keep], p[keep], y[keep]
+            if not rows.size:
+                return out
+    out[rows] = y
+    return out
+
+
+def _gmom_rows(x: np.ndarray, k: int) -> np.ndarray:
+    """Geometric median of k positional bucket means, per row of (B, n, d)."""
+    size = x.shape[1] // k
+    b, _, d = x.shape
+    return _weiszfeld(x[:, : k * size].reshape(b, k, size, d).mean(axis=2))
 
 
 def geometric_median_of_means(samples, delta: float, seed: RngSeed | None = None,
@@ -158,9 +211,38 @@ def geometric_median_of_means(samples, delta: float, seed: RngSeed | None = None
         raise ConfigurationError(
             f"median-of-means needs at least {2 * k} samples for {k} buckets, got {n}"
         )
-    size = n // k
-    means = x[: k * size].reshape(k, size, x.shape[1]).mean(axis=1)
-    return _weiszfeld(means)
+    return _gmom_rows(x[None], k)[0]
+
+
+def _bad_init(exc: Exception, r: float) -> EstimationError:
+    err = EstimationError(
+        f"smoothed score underflowed ({exc.x}, r={r}); "
+        "initialization is likely far off"
+    )
+    err.__cause__ = exc
+    return err
+
+
+def _local_rows(engine: SmoothedModelHd, fisher_inv: np.ndarray, x: np.ndarray,
+                lambda1: np.ndarray, seeds) -> tuple[np.ndarray, list]:
+    """local_mle_hd on each row of (B, n, d) samples from (B, d) starts.
+
+    Row b draws its noise from seeds[b].  Returns the (B, d) estimates
+    and, per row, the EstimationError of a score underflow (or None);
+    an erring row's estimate is meaningless.
+    """
+    pts = np.empty(x.shape)
+    for b, seed in enumerate(seeds):
+        seed.generator().standard_normal(out=pts[b])
+    # x + r * noise - lambda1, in place: the same roundings, no temporaries
+    pts *= engine.r
+    pts += x
+    pts -= lambda1[:, None, :]
+    scores, underflows = _smoothed_score_rows(engine, pts)
+    errors = [None if exc is None else _bad_init(exc, engine.r) for exc in underflows]
+    # I_R^{-1} @ mean as one matrix-vector product per row
+    step = (fisher_inv @ scores.mean(axis=1)[:, :, None])[:, :, 0]
+    return lambda1 - step, errors
 
 
 def local_mle_hd(base: ProductDensity, r: float, samples, lambda1,
@@ -181,26 +263,27 @@ def local_mle_hd(base: ProductDensity, r: float, samples, lambda1,
         raise PreconditionError("lambda1 must match the sample dimension")
     require_finite_samples(x)
     engine = SmoothedModelHd(base, r)
-    noise = seed.generator().standard_normal(x.shape)
-    perturbed = x + r * noise
-    try:
-        scores = smoothed_score_hd(engine, perturbed - lambda1)
-    except TailUnderflowError as exc:
-        raise EstimationError(
-            f"smoothed score underflowed ({exc.x}, r={r}); "
-            "initialization is likely far off"
-        ) from exc
-    fisher = fisher_hd(engine)
-    eps_hat = fisher.inverse() @ scores.mean(axis=0)
-    return lambda1 - eps_hat
+    lambda_hat, errors = _local_rows(engine, fisher_hd(engine).inverse(),
+                                     x[None], lambda1[None], [seed])
+    if errors[0] is not None:
+        raise errors[0]
+    return lambda_hat[0]
 
 
-def _t_eigenvalues(fisher: FisherMatrix, M: np.ndarray) -> np.ndarray:
+def _t_eigenvalues(fisher_inv: np.ndarray, M: np.ndarray) -> np.ndarray:
     """Eigenvalues of T = M^{1/2} I_R^{-1} M^{1/2}."""
     evals, evecs = np.linalg.eigh(M)
     root = (evecs * np.sqrt(np.clip(evals, 0.0, None))) @ evecs.T
-    t_mat = root @ fisher.inverse() @ root
+    t_mat = root @ fisher_inv @ root
     return np.linalg.eigvalsh(0.5 * (t_mat + t_mat.T))
+
+
+def _bound(t_evals: np.ndarray, n: int, delta: float, eta: float) -> float:
+    trace_t = float(np.sum(t_evals))
+    norm_t = float(np.max(np.abs(t_evals)))
+    return (1.0 + eta) * math.sqrt(trace_t / n) + 5.0 * math.sqrt(
+        norm_t * math.log(4.0 / delta) / n
+    )
 
 
 def theoretical_bound_hd(fisher: FisherMatrix, M, n: int, delta: float,
@@ -213,30 +296,32 @@ def theoretical_bound_hd(fisher: FisherMatrix, M, n: int, delta: float,
         raise PreconditionError("n must be >= 1")
     M = np.asarray(M, dtype=float)
     _require_sym_psd(M)
-    t_evals = _t_eigenvalues(fisher, M)
-    trace_t = float(np.sum(t_evals))
-    norm_t = float(np.max(np.abs(t_evals)))
-    return (1.0 + eta) * math.sqrt(trace_t / n) + 5.0 * math.sqrt(
-        norm_t * math.log(4.0 / delta) / n
-    )
+    return _bound(_t_eigenvalues(fisher.inverse(), M), n, delta, eta)
 
 
-def global_mle_hd(base: ProductDensity, samples, cfg: ConfigHd,
-                  seed: RngSeed) -> ReportHd:
-    """Robust initialization plus one smoothed-score correction step.
+@dataclass(frozen=True)
+class HdPlan:
+    """What global_mle_hd computes the same for every trial of n samples."""
+
+    engine: SmoothedModelHd
+    buckets: int
+    n_init: int
+    n_local: int
+    fisher: FisherMatrix
+    fisher_inv: np.ndarray
+    bound: float
+    d_eff: float
+
+
+def plan_hd(base: ProductDensity, cfg: ConfigHd, n: int) -> HdPlan:
+    """The checks, sample split, I_R^{-1} and bound of n-sample trials.
 
     The first max(ceil(init_fraction*n), 2k) samples feed the
     median-of-means initializer (k buckets need at least 2 points
-    each); the rest feed the local stage.  The reported deviation bound
-    uses the total sample count.
+    each); the rest feed the local stage.  The deviation bound uses
+    the total sample count.  Raises ConfigurationError if r^2 exceeds
+    ||Sigma|| or no sample is left for the local stage.
     """
-    x = np.asarray(samples, dtype=float)
-    if x.ndim != 2:
-        raise PreconditionError("samples must be an (n, d) array")
-    n, dim = x.shape
-    if dim != base.dim:
-        raise PreconditionError(f"samples have dimension {dim}, model has {base.dim}")
-    require_finite_samples(x)
     sigma_norm = float(np.linalg.eigvalsh(base.covariance()).max())
     if cfg.r * cfg.r > sigma_norm + 1e-12:
         raise ConfigurationError(
@@ -249,22 +334,60 @@ def global_mle_hd(base: ProductDensity, samples, cfg: ConfigHd,
             f"sample budget too small: initialization takes {n_init} of {n}; "
             f"need at least {n_init + 1}"
         )
-    lambda1 = geometric_median_of_means(
-        x[:n_init], cfg.delta, seed.derive(1), cfg.mom_buckets_multiplier
-    )
-    lambda_hat = local_mle_hd(base, cfg.r, x[n_init:], lambda1, seed.derive(2))
     engine = SmoothedModelHd(base, cfg.r)
     fisher = fisher_hd(engine)
-    norm_mat = cfg.norm_matrix(dim)
-    bound = theoretical_bound_hd(fisher, norm_mat, n, cfg.delta, cfg.eta)
-    t_evals = _t_eigenvalues(fisher, norm_mat)
-    d_eff = float(np.sum(t_evals) / np.max(np.abs(t_evals)))
-    return ReportHd(
-        lambda_hat=lambda_hat,
-        lambda_initial=lambda1,
-        m_norm_error_bound=float(bound),
+    fisher_inv = fisher.inverse()
+    t_evals = _t_eigenvalues(fisher_inv, cfg.norm_matrix(base.dim))
+    return HdPlan(
+        engine=engine,
+        buckets=k,
+        n_init=n_init,
+        n_local=n - n_init,
         fisher=fisher,
-        d_eff_T=d_eff,
-        n_used_local=int(n - n_init),
-        n_used_init=int(n_init),
+        fisher_inv=fisher_inv,
+        bound=_bound(t_evals, n, cfg.delta, cfg.eta),
+        d_eff=float(np.sum(t_evals) / np.max(np.abs(t_evals))),
     )
+
+
+def global_mle_hd_rows(plan: HdPlan, samples: np.ndarray, seeds) -> list:
+    """global_mle_hd on each row of a (B, n, d) stack of finite samples.
+
+    Row b uses seeds[b] as global_mle_hd uses its seed.  Returns per row
+    a ReportHd, or the EstimationError that row raised.
+    """
+    lambda1 = _gmom_rows(samples[:, : plan.n_init], plan.buckets)
+    lambda_hat, errors = _local_rows(plan.engine, plan.fisher_inv,
+                                     samples[:, plan.n_init:], lambda1,
+                                     [s.derive(2) for s in seeds])
+    return [
+        err if err is not None else ReportHd(
+            lambda_hat=hat,
+            lambda_initial=init,
+            m_norm_error_bound=plan.bound,
+            fisher=plan.fisher,
+            d_eff_T=plan.d_eff,
+            n_used_local=plan.n_local,
+            n_used_init=plan.n_init,
+        )
+        for err, hat, init in zip(errors, lambda_hat, lambda1)
+    ]
+
+
+def global_mle_hd(base: ProductDensity, samples, cfg: ConfigHd,
+                  seed: RngSeed) -> ReportHd:
+    """Robust initialization plus one smoothed-score correction step.
+
+    The split of the samples and the bound are those of plan_hd.
+    """
+    x = np.asarray(samples, dtype=float)
+    if x.ndim != 2:
+        raise PreconditionError("samples must be an (n, d) array")
+    n, dim = x.shape
+    if dim != base.dim:
+        raise PreconditionError(f"samples have dimension {dim}, model has {base.dim}")
+    require_finite_samples(x)
+    rep = global_mle_hd_rows(plan_hd(base, cfg, n), x[None], [seed])[0]
+    if isinstance(rep, Exception):
+        raise rep
+    return rep

@@ -4,9 +4,10 @@ Five batch studies (fisher sweep, 1-d and high-d coverage, sawtooth
 phase scan, norm-concentration sweep), declared once in `EXPERIMENTS`,
 plus the config-file grammar that describes them.  Every driver returns
 a :class:`CsvTable` whose bytes depend only on the configuration and
-the root seed: trials are parallelized as whole units, each trial
-derives its own RNG stream from (seed, trial index), and results are
-reassembled in trial order before emission.
+the root seed: each trial derives its own RNG streams from (seed, trial
+index), the thread pool gets whole trials (or, for high-d coverage,
+fixed blocks of whole trials whose arithmetic is stacked), and results
+are reassembled in trial order before emission.
 """
 
 from __future__ import annotations
@@ -34,7 +35,8 @@ from .errors import (
     TailUnderflowError,
 )
 from .estimator1d import Config1d, global_mle_1d
-from .estimatorhd import ConfigHd, global_mle_hd, m_norm
+from .estimatorhd import (ConfigHd, global_mle_hd_rows, m_norm_unchecked,
+                          plan_hd)
 from .models import Density1d, GaussianSawtooth, ProductDensity, parse_model
 from .rng import RngSeed
 from .smoothing import SmoothedModel1d, fisher_1d
@@ -256,16 +258,20 @@ def _median_or_none(values):
     return float(np.median(values)) if values else None
 
 
-def _trial(estimate, base, cfg, n: int, ts: RngSeed, lambda_scale: float,
-           dim=None):
-    """One simulated round: (lambda, samples, report or "error: ...").
-
-    The shift comes from ts.derive(1) (a float, or a `dim`-vector), the
-    samples from ts.derive(2) and the estimator's seed is ts.derive(3).
-    """
+def _draw(base, n: int, ts: RngSeed, lambda_scale: float, dim=None):
+    """(lambda, samples) of one trial: the shift from ts.derive(1) (a
+    float, or a `dim`-vector), the samples from ts.derive(2)."""
     lam = ts.derive(1).generator().uniform(-lambda_scale, lambda_scale,
                                            size=dim)
-    x = base.sample(int(n), ts.derive(2)) + lam
+    return lam, base.sample(int(n), ts.derive(2)) + lam
+
+
+def _trial(estimate, base, cfg, n: int, ts: RngSeed, lambda_scale: float):
+    """One simulated round: (lambda, samples, report or "error: ...").
+
+    Sampled by _draw; the estimator's seed is ts.derive(3).
+    """
+    lam, x = _draw(base, n, ts, lambda_scale)
     try:
         return lam, x, estimate(base, x, cfg, ts.derive(3))
     except _TRIAL_ERRORS as e:
@@ -346,27 +352,58 @@ def run_coverage(model_spec: str, n: int, trials: int, delta: float,
 # -- high-dimensional coverage -----------------------------------------
 
 
+# Trials per high-d coverage block: at most _BLOCK_TRIALS, and no more
+# than fit _BLOCK_COORDS sample coordinates (n * d per trial), at least
+# one.  Fixed by the run's shape, never by the thread count.
+_BLOCK_TRIALS = 64
+_BLOCK_COORDS = 1 << 17
+
+
 def run_coverage_hd(model_spec: str, n: int, trials: int, delta: float,
                     r: float, seed: int, eta: float = 0.25,
                     threads: int = 1, lambda_scale: float = 2.0) -> CsvTable:
-    """Monte Carlo coverage of the product-model estimator in M-norm."""
+    """Monte Carlo coverage of the product-model estimator in M-norm.
+
+    Trials run in blocks: each trial draws its shift and samples from
+    its own streams (as _trial does), and the estimator runs once over
+    the block's (B, n, d) stack, with each row's noise from its own
+    ts.derive(3).derive(2).  A row's error is that row's note.
+    """
     base = parse_model(model_spec)
     if not isinstance(base, ProductDensity):
         raise PreconditionError("coverage-hd needs a product model")
     cfg = ConfigHd(delta=float(delta), r=float(r), eta=float(eta))
     M = cfg.norm_matrix(base.dim)
     root = RngSeed(int(seed))
+    n, trials = int(n), int(trials)
+    try:
+        plan = plan_hd(base, cfg, n)
+    except _TRIAL_ERRORS as e:
+        plan = f"error: {e}"
+    size = max(1, min(_BLOCK_TRIALS, _BLOCK_COORDS // (max(n, 1) * base.dim)))
 
-    def one(t: int) -> tuple:
-        lam, _, rep = _trial(global_mle_hd, base, cfg, n, root.derive(t),
-                             lambda_scale, dim=base.dim)
-        if isinstance(rep, str):
-            return (t, None, None, None, rep)
-        err = m_norm(rep.lambda_hat - lam, M)
-        within = err <= rep.m_norm_error_bound
-        return (t, err, rep.m_norm_error_bound, int(within), "")
+    def block(i: int) -> list:
+        block_trials = range(i * size, min((i + 1) * size, trials))
+        if isinstance(plan, str):
+            return [(t, None, None, None, plan) for t in block_trials]
+        seeds = [root.derive(t) for t in block_trials]
+        lams, x = [], np.empty((len(seeds), n, base.dim))
+        for ts, row in zip(seeds, x):
+            lam, row[:] = _draw(base, n, ts, lambda_scale, base.dim)
+            lams.append(lam)
+        reps = global_mle_hd_rows(plan, x, [ts.derive(3) for ts in seeds])
+        rows = []
+        for t, lam, rep in zip(block_trials, lams, reps):
+            if isinstance(rep, Exception):
+                rows.append((t, None, None, None, f"error: {rep}"))
+                continue
+            err = m_norm_unchecked(rep.lambda_hat - lam, M)
+            within = err <= rep.m_norm_error_bound
+            rows.append((t, err, rep.m_norm_error_bound, int(within), ""))
+        return rows
 
-    rows = _map_trials(one, int(trials), threads)
+    blocks = _map_trials(block, (trials + size - 1) // size, threads)
+    rows = [row for block_rows in blocks for row in block_rows]
     ok, note = _tally(rows)
     rows.append(("summary",
                  _median_or_none([r[1] for r in ok]),

@@ -171,17 +171,32 @@ def smoothed_score_hd(m: SmoothedModelHd, x, coords=None):
     pts = np.atleast_2d(x)
     if pts.shape[1] != m.dim:
         raise PreconditionError(f"expected points of dimension {m.dim}")
+    out, errors = _smoothed_score_rows(m, pts[None], coords)
+    if errors[0] is not None:
+        raise errors[0]
+    return out[0, 0] if squeeze else out[0]
+
+
+def _smoothed_score_rows(m: SmoothedModelHd, pts: np.ndarray, coords=None):
+    """s_R over a (B, n, d) stack of point sets, one row per set.
+
+    Each coordinate is one evaluation over all B*n points.  Returns the
+    scores and, per row, the TailUnderflowError that smoothed_score_hd
+    raises on that row alone (at its first coordinate, in `coords`
+    order, with a point where f_r < 1e-300), or None.
+    """
     engines = _coord_engines(m)
     out = np.zeros_like(pts)
-    indices = range(m.dim) if coords is None else coords
-    for j in indices:
-        try:
-            out[:, j] = smoothed_score_1d(engines[j], pts[:, j])
-        except TailUnderflowError as exc:
-            raise TailUnderflowError(
-                f"coordinate {j} value {exc.x}", m.r
-            ) from exc
-    return out[0] if squeeze else out
+    errors = [None] * pts.shape[0]
+    for j in range(m.dim) if coords is None else coords:
+        col = pts[:, :, j]
+        log_pdf, out[:, :, j] = _log_pdf_and_score(engines[j], col)
+        bad = ~(log_pdf > _LOG_UNDERFLOW)
+        for b in np.flatnonzero(bad.any(axis=1)):
+            if errors[b] is None:
+                first = float(col[b][bad[b]][0])
+                errors[b] = TailUnderflowError(f"coordinate {j} value {first}", m.r)
+    return out, errors
 
 
 def fisher_hd(m: SmoothedModelHd) -> FisherMatrix:

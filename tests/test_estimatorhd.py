@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import optimize
 
 from smoothloc import (
     ConfigHd,
@@ -20,6 +21,14 @@ from smoothloc import (
     m_norm,
     parse_model,
     theoretical_bound_hd,
+)
+from smoothloc.estimatorhd import (
+    _WEISZFELD_CAP,
+    _WEISZFELD_TOL,
+    _local_rows,
+    _weiszfeld,
+    global_mle_hd_rows,
+    plan_hd,
 )
 
 LAP4 = parse_model("product(laplace(0,1)^4)")
@@ -75,6 +84,102 @@ def test_gmom_coordinate_swap_exact():
     assert np.array_equal(direct, swapped[::-1])
 
 
+def reference_weiszfeld(points):
+    """The one-point-set Weiszfeld iteration that the block form replaced.
+
+    Its arithmetic is unchanged; it also returns how it stopped, whether
+    it was nudged off a data point and how many iterations it ran.
+    """
+    y = points.mean(axis=0)
+    nudged = False
+    for it in range(1, _WEISZFELD_CAP + 1):
+        dist = np.linalg.norm(points - y, axis=1)
+        at_point = dist < 1e-12
+        if np.all(at_point):
+            return y, "identical", nudged, it
+        if np.any(at_point):
+            # subgradient optimality test at a data point, else nudge off it
+            rest = ~at_point
+            g = np.sum((points[rest] - y) / dist[rest, None], axis=0)
+            gn = float(np.linalg.norm(g))
+            if gn <= np.count_nonzero(at_point) + 1e-12:
+                return y, "subgradient", nudged, it
+            y = y + (1e-12 / gn) * g
+            nudged = True
+            continue
+        w = 1.0 / dist
+        y_next = (points * w[:, None]).sum(axis=0) / w.sum()
+        step = float(np.linalg.norm(y_next - y)) / max(1.0, float(np.linalg.norm(y_next)))
+        y = y_next
+        if step <= _WEISZFELD_TOL:
+            return y, "converged", nudged, it
+    return y, "cap", nudged, _WEISZFELD_CAP
+
+
+def _vertex_star(angle_deg):
+    # origin, e1, the unit vector at angle_deg and +-e2: for angles at or
+    # a little above 120 degrees the median is the origin, approached slowly
+    t = math.radians(angle_deg)
+    return np.array([[0, 0], [1, 0], [math.cos(t), math.sin(t)], [0, 1], [0, -1]],
+                    dtype=float)
+
+
+def test_block_weiszfeld_matches_single_set_reference():
+    rng = np.random.default_rng(5)
+    rows = [
+        rng.standard_normal((5, 2)),
+        3.0 * rng.standard_normal((5, 2)) + 7.0,
+        _vertex_star(121.0),                                # hits the cap
+        _vertex_star(130.0),                                # converges slowly
+        np.tile([2.5, -1.0], (5, 1)),                       # all identical
+        np.array([[1, 0], [-1, 0], [0, 1], [0, -1], [0, 0]], dtype=float),
+        np.array([[0, 0], [3, 0], [-1, 0.5], [-1, 0], [-1, -0.5]]),  # nudged
+        rng.standard_normal((5, 2)) * 1e-3,
+    ]
+    ref = [reference_weiszfeld(r) for r in rows]
+    how = [(stop, nudged) for _, stop, nudged, _ in ref]
+    assert how[2] == ("cap", False)
+    assert how[4] == ("identical", False)
+    assert how[5] == ("subgradient", False)
+    assert how[6] == ("converged", True)
+    assert {stop for stop, _ in how} == {"converged", "cap", "identical", "subgradient"}
+
+    # the converging rows stop after different numbers of steps
+    assert len({ref[i][3] for i in (0, 1, 3, 7)}) >= 3
+
+    stack = np.stack(rows)
+    for order in (np.arange(len(rows)), np.arange(len(rows))[::-1]):
+        got = _weiszfeld(stack[order])
+        for i, row in zip(order, got):
+            assert np.array_equal(row, ref[i][0]), i
+    for i, r in enumerate(rows):
+        assert np.array_equal(_weiszfeld(r[None])[0], ref[i][0]), i
+
+
+@pytest.mark.parametrize("k,d", [(11, 1), (11, 4), (9, 8), (23, 3)])
+def test_block_weiszfeld_random_rows_bitwise(k, d):
+    x = RngSeed(k * 100 + d).generator().standard_t(2.0, size=(40, k, d))
+    got = _weiszfeld(x)
+    for i in range(x.shape[0]):
+        assert np.array_equal(got[i], reference_weiszfeld(x[i])[0]), i
+
+
+def test_block_weiszfeld_against_direct_minimization():
+    x = RngSeed(19).generator().standard_normal((6, 11, 3))
+    got = _weiszfeld(x)
+    for pts, y in zip(x, got):
+        def total(v, pts=pts):
+            return np.linalg.norm(pts - v, axis=1).sum()
+
+        def grad(v, pts=pts):
+            diff = v - pts
+            return (diff / np.linalg.norm(diff, axis=1)[:, None]).sum(axis=0)
+
+        res = optimize.minimize(total, pts.mean(axis=0), jac=grad,
+                                method="BFGS", options={"gtol": 1e-12})
+        assert np.max(np.abs(y - res.x)) < 1e-6
+
+
 # -- local step ---------------------------------------------------------------
 
 
@@ -126,6 +231,47 @@ def test_local_hd_validation():
         local_mle_hd(LAP4, 0.5, np.zeros((0, 4)), np.zeros(4), RngSeed(1))
     with pytest.raises(PreconditionError):
         local_mle_hd(LAP4, 0.5, np.zeros((5, 4)), np.zeros(3), RngSeed(1))
+
+
+def test_block_row_underflow_is_that_rows_error():
+    # row 2's median-of-means slice sits 1000 away from its local slice,
+    # so its local step underflows; the other rows must not notice
+    cfg = ConfigHd(delta=0.1, r=0.5, eta=0.25)
+    n = 400
+    plan = plan_hd(LAP4, cfg, n)
+    root = RngSeed(77)
+    xs = np.stack([LAP4.sample(n, root.derive(b)) for b in range(4)])
+    xs[2, : plan.n_init] += 1000.0
+    seeds = [root.derive(10 + b) for b in range(4)]
+    reps = global_mle_hd_rows(plan, xs, seeds)
+
+    lam1 = geometric_median_of_means(xs[2, : plan.n_init], 0.1)
+    with pytest.raises(EstimationError, match="underflowed") as single:
+        local_mle_hd(LAP4, 0.5, xs[2, plan.n_init:], lam1, seeds[2].derive(2))
+    assert isinstance(reps[2], EstimationError)
+    assert str(reps[2]) == str(single.value)
+    with pytest.raises(EstimationError) as whole:
+        global_mle_hd(LAP4, xs[2], cfg, seeds[2])
+    assert str(whole.value) == str(single.value)
+
+    for b in (0, 1, 3):
+        one = global_mle_hd(LAP4, xs[b], cfg, seeds[b])
+        assert np.array_equal(reps[b].lambda_hat, one.lambda_hat)
+        assert np.array_equal(reps[b].lambda_initial, one.lambda_initial)
+        assert reps[b].m_norm_error_bound == one.m_norm_error_bound
+
+    # the same at the local stage alone, from a start 1000 away
+    engine = SmoothedModelHd(LAP4, 0.5)
+    local_x = xs[[0, 1, 3], plan.n_init:]
+    starts = np.zeros((3, 4))
+    starts[1] = 1000.0
+    hats, errors = _local_rows(engine, plan.fisher_inv, local_x, starts, seeds[:3])
+    with pytest.raises(EstimationError) as far:
+        local_mle_hd(LAP4, 0.5, local_x[1], starts[1], seeds[1])
+    assert [e is None for e in errors] == [True, False, True]
+    assert str(errors[1]) == str(far.value)
+    for b in (0, 2):
+        assert np.array_equal(hats[b], local_mle_hd(LAP4, 0.5, local_x[b], starts[b], seeds[b]))
 
 
 # -- norms and bounds ----------------------------------------------------------

@@ -218,6 +218,104 @@ def test_coverage_hd_thread_invariance_and_reconcile():
         run_coverage_hd("gaussian(0,1)", **kw)
 
 
+# coverage-hd CSVs frozen from the per-trial code that preceded trial
+# blocks: 37 trials (not a multiple of the block size), a mixed product
+# with eta and lambda-scale set, and a run whose every row is an error
+FROZEN_HD = [
+    (dict(model_spec="product(laplace(0,1)^4)", n=500, trials=37, delta=0.1,
+          r=0.5, seed=7), """\
+trial,err_norm,error_bound,within_flag,note
+0,0.149984371,0.705503783,1,
+1,0.136442579,0.705503783,1,
+2,0.101301952,0.705503783,1,
+3,0.117389853,0.705503783,1,
+4,0.0937131819,0.705503783,1,
+5,0.101871572,0.705503783,1,
+6,0.0910645023,0.705503783,1,
+7,0.0980768855,0.705503783,1,
+8,0.110638927,0.705503783,1,
+9,0.115878928,0.705503783,1,
+10,0.14787666,0.705503783,1,
+11,0.163308276,0.705503783,1,
+12,0.140340793,0.705503783,1,
+13,0.180745653,0.705503783,1,
+14,0.0787265683,0.705503783,1,
+15,0.105979308,0.705503783,1,
+16,0.105863272,0.705503783,1,
+17,0.121364406,0.705503783,1,
+18,0.11826439,0.705503783,1,
+19,0.0872529767,0.705503783,1,
+20,0.122073843,0.705503783,1,
+21,0.0885071928,0.705503783,1,
+22,0.125119629,0.705503783,1,
+23,0.138054593,0.705503783,1,
+24,0.103300189,0.705503783,1,
+25,0.0766324743,0.705503783,1,
+26,0.134191055,0.705503783,1,
+27,0.159162528,0.705503783,1,
+28,0.164429488,0.705503783,1,
+29,0.162217173,0.705503783,1,
+30,0.083201372,0.705503783,1,
+31,0.0954186785,0.705503783,1,
+32,0.0306814598,0.705503783,1,
+33,0.0722353727,0.705503783,1,
+34,0.0796376488,0.705503783,1,
+35,0.115209027,0.705503783,1,
+36,0.108493167,0.705503783,1,
+summary,0.110638927,0.705503783,,failure_rate=0 failures=0 errors=0 trials=37
+"""),
+    (dict(model_spec="product(gaussian(0,1),laplace(0,1),sawtooth(0.05,4))",
+          n=400, trials=12, delta=0.1, r=0.5, seed=11, eta=0.4,
+          lambda_scale=1.5), """\
+trial,err_norm,error_bound,within_flag,note
+0,0.0733880465,0.769288206,1,
+1,0.10504677,0.769288206,1,
+2,0.131044749,0.769288206,1,
+3,0.0700385967,0.769288206,1,
+4,0.0818115873,0.769288206,1,
+5,0.166951548,0.769288206,1,
+6,0.0991170576,0.769288206,1,
+7,0.132518925,0.769288206,1,
+8,0.0658474473,0.769288206,1,
+9,0.123490214,0.769288206,1,
+10,0.12068812,0.769288206,1,
+11,0.119341335,0.769288206,1,
+summary,0.112194052,0.769288206,,failure_rate=0 failures=0 errors=0 trials=12
+"""),
+    (dict(model_spec="product(laplace(0,1)^4)", n=10, trials=5, delta=0.1,
+          r=0.5, seed=8), """\
+trial,err_norm,error_bound,within_flag,note
+0,,,,error: sample budget too small: initialization takes 22 of 10; need at least 23
+1,,,,error: sample budget too small: initialization takes 22 of 10; need at least 23
+2,,,,error: sample budget too small: initialization takes 22 of 10; need at least 23
+3,,,,error: sample budget too small: initialization takes 22 of 10; need at least 23
+4,,,,error: sample budget too small: initialization takes 22 of 10; need at least 23
+summary,,,,failure_rate=1 failures=0 errors=5 trials=5
+"""),
+]
+
+
+@pytest.mark.parametrize("case", range(len(FROZEN_HD)))
+def test_coverage_hd_frozen_reference(case, monkeypatch):
+    import smoothloc.harness as harness
+
+    kw, text = FROZEN_HD[case]
+    for threads in (1, 2):
+        assert run_coverage_hd(threads=threads, **kw).to_csv() == text
+    for block in (1, 3):
+        monkeypatch.setattr(harness, "_BLOCK_TRIALS", block)
+        for threads in (1, 2):
+            assert run_coverage_hd(threads=threads, **kw).to_csv() == text
+
+
+def test_coverage_hd_rows_independent_of_run_length():
+    kw = FROZEN_HD[0][0]
+    assert kw["trials"] == 37
+    long = run_coverage_hd(**kw)
+    short = run_coverage_hd(**{**kw, "trials": 5})
+    assert short.rows[:5] == long.rows[:5]
+
+
 # -- sawtooth scan ---------------------------------------------------------------
 
 
