@@ -22,13 +22,11 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ConfigurationError, PreconditionError
+from .errors import ConfigurationError, PreconditionError, require_sym_psd
 from .models import ProductDensity
 from .rng import RngSeed
 from .smoothing import (SmoothedModelHd, _coord_engines, expected_shifted_score,
                         fisher_hd, smoothed_score_hd)
-
-_SYM_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -40,13 +38,7 @@ class SubgammaSpec:
 
     def __post_init__(self):
         sigma = np.asarray(self.sigma, dtype=float)
-        if sigma.ndim != 2 or sigma.shape[0] != sigma.shape[1]:
-            raise PreconditionError("Sigma must be a square matrix")
-        scale = max(1.0, float(np.max(np.abs(sigma))))
-        if float(np.max(np.abs(sigma - sigma.T))) > _SYM_TOL * scale:
-            raise PreconditionError("Sigma must be symmetric within 1e-10")
-        if float(np.linalg.eigvalsh(sigma).min()) < -_SYM_TOL * scale:
-            raise PreconditionError("Sigma must be positive semidefinite")
+        require_sym_psd(sigma, "Sigma")
         c = np.asarray(self.c, dtype=float)
         if c.ndim == 0:
             c = float(c) * np.eye(sigma.shape[0])
@@ -97,6 +89,7 @@ class VectorGenerator:
 
 
 def _psd_root(mat: np.ndarray) -> np.ndarray:
+    """Symmetric square root of a symmetric PSD matrix."""
     evals, evecs = np.linalg.eigh(mat)
     return (evecs * np.sqrt(np.clip(evals, 0.0, None))) @ evecs.T
 

@@ -6,6 +6,8 @@ quantity; nothing is silently clamped or NaN-propagated.
 
 import numpy as np
 
+_SYM_TOL = 1e-10
+
 
 class ModelSpecError(ValueError):
     """Raised when a model specification string cannot be parsed.
@@ -62,3 +64,15 @@ def require_finite_samples(x) -> None:
             f"samples must be finite: {where.size} non-finite sample(s), "
             f"the first at index {where[0]}"
         )
+
+
+def require_sym_psd(m: np.ndarray, subject: str) -> None:
+    """Raise PreconditionError naming `subject` unless m is square and,
+    within 1e-10 of max(1, max |m_ij|), symmetric and PSD."""
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        raise PreconditionError(f"{subject} must be square")
+    scale = max(1.0, float(np.max(np.abs(m))))
+    if float(np.max(np.abs(m - m.T))) > _SYM_TOL * scale:
+        raise PreconditionError(f"{subject} must be symmetric within 1e-10")
+    if float(np.linalg.eigvalsh(m).min()) < -_SYM_TOL * scale:
+        raise PreconditionError(f"{subject} must be positive semidefinite")

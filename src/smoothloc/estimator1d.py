@@ -7,7 +7,9 @@ the guess.  The smoothing radius follows the schedule
 r* = c * (log(2/delta)/n)^{1/8} * IQR unless overridden.
 
 The two stages never share samples: the Newton-step analysis needs the
-score evaluations to be independent of the initializer.
+score evaluations to be independent of the initializer.  A block of
+trials is a (B, n) stack, one row and noise stream per trial, that
+global_mle_1d_rows runs at once; global_mle_1d is its B = 1 case.
 """
 
 from __future__ import annotations
@@ -73,6 +75,20 @@ class EstimateReport:
     n_used_init: int
 
 
+def _local_step(engine: SmoothedModel1d, x: np.ndarray, lambda1: float,
+                seed: RngSeed) -> float:
+    """local_mle_1d on checked samples, with the engine of its radius."""
+    perturbed = x + engine.r * seed.generator().standard_normal(x.shape)
+    try:
+        score_mean = float(np.mean(smoothed_score_1d(engine, perturbed - lambda1)))
+    except TailUnderflowError as exc:
+        raise EstimationError(
+            f"smoothed score underflowed at perturbed sample {exc.x} "
+            f"(r={engine.r}, lambda1={lambda1}); initialization is likely far off"
+        ) from exc
+    return lambda1 - score_mean / fisher_1d(engine)
+
+
 def local_mle_1d(base: Density1d, r: float, samples, lambda1: float,
                  seed: RngSeed) -> float:
     """One Newton step on the empirical smoothed score, from lambda1.
@@ -87,17 +103,7 @@ def local_mle_1d(base: Density1d, r: float, samples, lambda1: float,
     if x.ndim != 1 or x.size == 0:
         raise PreconditionError("samples must be a nonempty 1-d sequence")
     require_finite_samples(x)
-    noise = seed.generator().standard_normal(x.shape)
-    perturbed = x + r * noise
-    engine = SmoothedModel1d(base, r)
-    try:
-        score_mean = float(np.mean(smoothed_score_1d(engine, perturbed - lambda1)))
-    except TailUnderflowError as exc:
-        raise EstimationError(
-            f"smoothed score underflowed at perturbed sample {exc.x} "
-            f"(r={r}, lambda1={lambda1}); initialization is likely far off"
-        ) from exc
-    return lambda1 - score_mean / fisher_1d(engine)
+    return _local_step(SmoothedModel1d(base, r), x, lambda1, seed)
 
 
 @lru_cache(maxsize=None)
@@ -133,6 +139,13 @@ def choose_alpha(base: Density1d, q: float, grid_step: float = 1e-3) -> float:
     return float(best.min())
 
 
+def _quantile_rows(base: Density1d, x: np.ndarray, alpha: float) -> np.ndarray:
+    """quantile_initial_estimate on each row of a (B, m) stack."""
+    m = x.shape[1]
+    idx = min(max(int(math.ceil(alpha * m)), 1), m)
+    return np.sort(x, axis=1)[:, idx - 1] - base.quantile(alpha)
+
+
 def quantile_initial_estimate(base: Density1d, samples_init, alpha: float) -> float:
     """Crude location from the sample alpha-quantile.
 
@@ -141,15 +154,13 @@ def quantile_initial_estimate(base: Density1d, samples_init, alpha: float) -> fl
     difference is the shift that aligns the model quantile with the
     sample one.
     """
-    x = np.sort(np.asarray(samples_init, dtype=float))
-    m = x.size
-    if m < 2:
+    x = np.ravel(np.asarray(samples_init, dtype=float))
+    require_finite_samples(x)
+    if x.size < 2:
         raise PreconditionError("initialization stage needs at least 2 samples")
     if not 0.0 < alpha < 1.0:
         raise PreconditionError("alpha must be in (0, 1)")
-    idx = int(math.ceil(alpha * m))
-    idx = min(max(idx, 1), m)
-    return float(x[idx - 1]) - base.quantile(alpha)
+    return float(_quantile_rows(base, x[None], alpha)[0])
 
 
 def _minimal_n(cfg: Config1d) -> int:
@@ -160,19 +171,16 @@ def _minimal_n(cfg: Config1d) -> int:
     return int(math.ceil(max(n_guard, n_q, 2.0)))
 
 
-def global_mle_1d(base: Density1d, samples, cfg: Config1d,
-                  seed: RngSeed) -> EstimateReport:
-    """Quantile initialization, then one smoothed-score Newton step.
+def global_mle_1d_rows(base: Density1d, samples: np.ndarray, cfg: Config1d,
+                       seeds) -> list:
+    """global_mle_1d on each row of a (B, n) stack of finite samples.
 
-    Splits off the first ceil((log(2/delta)/n)^e * n) samples for the
-    quantile stage and runs the Newton step on the rest at radius
-    r* = c * (log(2/delta)/n)^{1/8} * IQR (or cfg.r_override).  The
-    reported theoretical_radius is the leading-order deviation bound
-    sqrt(2 log(2/delta) / (n_local * I_{r*})).
+    Row b uses seeds[b] as global_mle_1d uses its seed; rows are scored
+    one call each, so temporaries stay one row long.  The checks, split,
+    r* and I_{r*} are shared: a failing check raises for the whole block.
+    Returns per row an EstimateReport or that row's EstimationError.
     """
-    x = np.asarray(samples, dtype=float)
-    require_finite_samples(x)
-    n = x.size
+    n = samples.shape[1]
     log_term = math.log(2.0 / cfg.delta)
     if n < cfg.min_n_factor * log_term:
         raise ConfigurationError(
@@ -192,21 +200,49 @@ def global_mle_1d(base: Density1d, samples, cfg: Config1d,
             f"leaves no usable stage; need n >= {_minimal_n(cfg)}"
         )
     alpha = choose_alpha(base, q, cfg.alpha_grid_step)
-    lambda1 = quantile_initial_estimate(base, x[:n_init], alpha)
     if cfg.r_override is not None:
         r_star = cfg.r_override
     else:
         r_star = cfg.r_star_multiplier * (log_term / n) ** 0.125 * base.iqr()
-    lambda_hat = local_mle_1d(base, r_star, x[n_init:], lambda1, seed)
-    fisher = fisher_1d(SmoothedModel1d(base, r_star))
+    engine = SmoothedModel1d(base, r_star)
+    fisher = fisher_1d(engine)
     n_local = n - n_init
     radius = math.sqrt(2.0 * log_term / (n_local * fisher))
-    return EstimateReport(
-        lambda_hat=float(lambda_hat),
-        lambda_initial=float(lambda1),
-        r_used=float(r_star),
-        fisher_at_r=float(fisher),
-        theoretical_radius=float(radius),
-        n_used_local=int(n_local),
-        n_used_init=int(n_init),
-    )
+    reports = []
+    starts = _quantile_rows(base, samples[:, :n_init], alpha)
+    for x, lambda1, seed in zip(samples, starts, seeds):
+        try:
+            lambda_hat = _local_step(engine, x[n_init:], lambda1, seed)
+        except EstimationError as err:
+            reports.append(err)
+            continue
+        reports.append(EstimateReport(
+            lambda_hat=float(lambda_hat),
+            lambda_initial=float(lambda1),
+            r_used=float(r_star),
+            fisher_at_r=float(fisher),
+            theoretical_radius=float(radius),
+            n_used_local=int(n_local),
+            n_used_init=int(n_init),
+        ))
+    return reports
+
+
+def global_mle_1d(base: Density1d, samples, cfg: Config1d,
+                  seed: RngSeed) -> EstimateReport:
+    """Quantile initialization, then one smoothed-score Newton step.
+
+    Splits off the first ceil((log(2/delta)/n)^e * n) samples for the
+    quantile stage and runs the Newton step on the rest at radius
+    r* = c * (log(2/delta)/n)^{1/8} * IQR (or cfg.r_override).  The
+    reported theoretical_radius is the leading-order deviation bound
+    sqrt(2 log(2/delta) / (n_local * I_{r*})).
+    """
+    x = np.asarray(samples, dtype=float)
+    if x.ndim != 1:
+        raise PreconditionError("samples must be a 1-d sequence")
+    require_finite_samples(x)
+    rep = global_mle_1d_rows(base, x[None], cfg, [seed])[0]
+    if isinstance(rep, Exception):
+        raise rep
+    return rep

@@ -12,9 +12,9 @@ its own test stops it; the score is one evaluation per coordinate over
 the whole block; the step is I_R^{-1} times each row's mean score.  A
 row gets the same numbers, bit for bit, as it would alone, and one
 row's score underflow becomes that row's error, never the block's.
-The single-trial functions are the B = 1 case.  What every trial of n
-samples shares (the checks, the split, I_R^{-1}, the bound) is an
-HdPlan, computed once per run by the batch driver.
+The single-trial functions are the B = 1 case.  What the rows share
+(the checks, the split, I_R^{-1}, the bound) is computed once per
+block.
 
 Error reports use the M-norm sqrt(x^T M x) and the deviation bound
 (1+eta)*sqrt(Tr T/n) + 5*sqrt(||T|| log(4/delta)/n) with
@@ -28,11 +28,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .concentration import _psd_root
 from .errors import (
     ConfigurationError,
     EstimationError,
     PreconditionError,
     require_finite_samples,
+    require_sym_psd,
 )
 from .models import ProductDensity
 from .rng import RngSeed
@@ -43,7 +45,6 @@ from .smoothing import (
     fisher_hd,
 )
 
-_SYM_TOL = 1e-10
 _WEISZFELD_TOL = 1e-10
 _WEISZFELD_CAP = 200
 
@@ -55,7 +56,7 @@ class ConfigHd:
     M is the norm matrix of the error report (identity if omitted).
     init_fraction defaults to eta/10, the slice handed to the robust
     initializer.  The model-dependent requirement r^2 <= ||Sigma|| is
-    checked by plan_hd, which sees the model.
+    checked by global_mle_hd_rows, which sees the model.
     """
 
     delta: float
@@ -78,7 +79,7 @@ class ConfigHd:
             raise ConfigurationError("mom_buckets_multiplier must be positive")
         if self.M is not None:
             m = np.asarray(self.M, dtype=float)
-            _require_sym_psd(m)
+            require_sym_psd(m, "norm matrix")
             object.__setattr__(self, "M", m)
 
     def effective_init_fraction(self) -> float:
@@ -105,21 +106,11 @@ class ReportHd:
     n_used_init: int
 
 
-def _require_sym_psd(m: np.ndarray) -> None:
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise PreconditionError("norm matrix must be square")
-    scale = max(1.0, float(np.max(np.abs(m))))
-    if float(np.max(np.abs(m - m.T))) > _SYM_TOL * scale:
-        raise PreconditionError("norm matrix must be symmetric within 1e-10")
-    if float(np.linalg.eigvalsh(m).min()) < -_SYM_TOL * scale:
-        raise PreconditionError("norm matrix must be positive semidefinite")
-
-
 def m_norm(x, M) -> float:
     """sqrt(x^T M x) for symmetric positive-semidefinite M."""
     x = np.asarray(x, dtype=float)
     M = np.asarray(M, dtype=float)
-    _require_sym_psd(M)
+    require_sym_psd(M, "norm matrix")
     return m_norm_unchecked(x, M)
 
 
@@ -205,6 +196,7 @@ def geometric_median_of_means(samples, delta: float, seed: RngSeed | None = None
     x = np.asarray(samples, dtype=float)
     if x.ndim == 1:
         x = x[:, None]
+    require_finite_samples(x)
     n = x.shape[0]
     k = _bucket_count(delta, buckets_multiplier)
     if n < 2 * k:
@@ -272,8 +264,7 @@ def local_mle_hd(base: ProductDensity, r: float, samples, lambda1,
 
 def _t_eigenvalues(fisher_inv: np.ndarray, M: np.ndarray) -> np.ndarray:
     """Eigenvalues of T = M^{1/2} I_R^{-1} M^{1/2}."""
-    evals, evecs = np.linalg.eigh(M)
-    root = (evecs * np.sqrt(np.clip(evals, 0.0, None))) @ evecs.T
+    root = _psd_root(M)
     t_mat = root @ fisher_inv @ root
     return np.linalg.eigvalsh(0.5 * (t_mat + t_mat.T))
 
@@ -295,34 +286,26 @@ def theoretical_bound_hd(fisher: FisherMatrix, M, n: int, delta: float,
     if n < 1:
         raise PreconditionError("n must be >= 1")
     M = np.asarray(M, dtype=float)
-    _require_sym_psd(M)
+    require_sym_psd(M, "norm matrix")
     return _bound(_t_eigenvalues(fisher.inverse(), M), n, delta, eta)
 
 
-@dataclass(frozen=True)
-class HdPlan:
-    """What global_mle_hd computes the same for every trial of n samples."""
+def global_mle_hd_rows(base: ProductDensity, samples: np.ndarray,
+                       cfg: ConfigHd, seeds) -> list:
+    """global_mle_hd on each row of a (B, n, d) stack of finite samples.
 
-    engine: SmoothedModelHd
-    buckets: int
-    n_init: int
-    n_local: int
-    fisher: FisherMatrix
-    fisher_inv: np.ndarray
-    bound: float
-    d_eff: float
-
-
-def plan_hd(base: ProductDensity, cfg: ConfigHd, n: int) -> HdPlan:
-    """The checks, sample split, I_R^{-1} and bound of n-sample trials.
-
-    The first max(ceil(init_fraction*n), 2k) samples feed the
+    Row b uses seeds[b] as global_mle_hd uses its seed.  The first
+    max(ceil(init_fraction*n), 2k) samples of a row feed the
     median-of-means initializer (k buckets need at least 2 points
-    each); the rest feed the local stage.  The deviation bound uses
-    the total sample count.  Raises ConfigurationError if r^2 exceeds
-    ||Sigma|| or no sample is left for the local stage.
+    each); the rest feed the local stage.  The deviation bound uses the
+    total sample count.  The checks, the split, I_R^{-1} and the bound
+    are shared by the rows: a ConfigurationError (r^2 exceeds ||Sigma||,
+    or no sample is left for the local stage) raises for the whole
+    block.  Returns per row a ReportHd, or the EstimationError that
+    row's score underflow raised.
     """
-    sigma_norm = float(np.linalg.eigvalsh(base.covariance()).max())
+    n = samples.shape[1]
+    sigma_norm = max(c.variance() for c in base.components)  # Sigma is diagonal
     if cfg.r * cfg.r > sigma_norm + 1e-12:
         raise ConfigurationError(
             f"r^2 = {cfg.r**2:.6g} exceeds the model covariance norm {sigma_norm:.6g}"
@@ -338,37 +321,20 @@ def plan_hd(base: ProductDensity, cfg: ConfigHd, n: int) -> HdPlan:
     fisher = fisher_hd(engine)
     fisher_inv = fisher.inverse()
     t_evals = _t_eigenvalues(fisher_inv, cfg.norm_matrix(base.dim))
-    return HdPlan(
-        engine=engine,
-        buckets=k,
-        n_init=n_init,
-        n_local=n - n_init,
-        fisher=fisher,
-        fisher_inv=fisher_inv,
-        bound=_bound(t_evals, n, cfg.delta, cfg.eta),
-        d_eff=float(np.sum(t_evals) / np.max(np.abs(t_evals))),
-    )
-
-
-def global_mle_hd_rows(plan: HdPlan, samples: np.ndarray, seeds) -> list:
-    """global_mle_hd on each row of a (B, n, d) stack of finite samples.
-
-    Row b uses seeds[b] as global_mle_hd uses its seed.  Returns per row
-    a ReportHd, or the EstimationError that row raised.
-    """
-    lambda1 = _gmom_rows(samples[:, : plan.n_init], plan.buckets)
-    lambda_hat, errors = _local_rows(plan.engine, plan.fisher_inv,
-                                     samples[:, plan.n_init:], lambda1,
-                                     [s.derive(2) for s in seeds])
+    bound = _bound(t_evals, n, cfg.delta, cfg.eta)
+    d_eff = float(np.sum(t_evals) / np.max(np.abs(t_evals)))
+    lambda1 = _gmom_rows(samples[:, :n_init], k)
+    lambda_hat, errors = _local_rows(engine, fisher_inv, samples[:, n_init:],
+                                     lambda1, [s.derive(2) for s in seeds])
     return [
         err if err is not None else ReportHd(
             lambda_hat=hat,
             lambda_initial=init,
-            m_norm_error_bound=plan.bound,
-            fisher=plan.fisher,
-            d_eff_T=plan.d_eff,
-            n_used_local=plan.n_local,
-            n_used_init=plan.n_init,
+            m_norm_error_bound=bound,
+            fisher=fisher,
+            d_eff_T=d_eff,
+            n_used_local=n - n_init,
+            n_used_init=n_init,
         )
         for err, hat, init in zip(errors, lambda_hat, lambda1)
     ]
@@ -378,16 +344,16 @@ def global_mle_hd(base: ProductDensity, samples, cfg: ConfigHd,
                   seed: RngSeed) -> ReportHd:
     """Robust initialization plus one smoothed-score correction step.
 
-    The split of the samples and the bound are those of plan_hd.
+    The sample split and the bound are global_mle_hd_rows's.
     """
     x = np.asarray(samples, dtype=float)
     if x.ndim != 2:
         raise PreconditionError("samples must be an (n, d) array")
-    n, dim = x.shape
+    _, dim = x.shape
     if dim != base.dim:
         raise PreconditionError(f"samples have dimension {dim}, model has {base.dim}")
     require_finite_samples(x)
-    rep = global_mle_hd_rows(plan_hd(base, cfg, n), x[None], [seed])[0]
+    rep = global_mle_hd_rows(base, x[None], cfg, [seed])[0]
     if isinstance(rep, Exception):
         raise rep
     return rep

@@ -5,9 +5,9 @@ phase scan, norm-concentration sweep), declared once in `EXPERIMENTS`,
 plus the config-file grammar that describes them.  Every driver returns
 a :class:`CsvTable` whose bytes depend only on the configuration and
 the root seed: each trial derives its own RNG streams from (seed, trial
-index), the thread pool gets whole trials (or, for high-d coverage,
-fixed blocks of whole trials whose arithmetic is stacked), and results
-are reassembled in trial order before emission.
+index), the three estimation studies run fixed blocks of whole trials
+(one stacked estimator call per block), the thread pool gets whole
+blocks or cells, and results are reassembled in order before emission.
 """
 
 from __future__ import annotations
@@ -34,9 +34,8 @@ from .errors import (
     PreconditionError,
     TailUnderflowError,
 )
-from .estimator1d import Config1d, global_mle_1d
-from .estimatorhd import (ConfigHd, global_mle_hd_rows, m_norm_unchecked,
-                          plan_hd)
+from .estimator1d import Config1d, global_mle_1d_rows
+from .estimatorhd import ConfigHd, global_mle_hd_rows, m_norm_unchecked
 from .models import Density1d, GaussianSawtooth, ProductDensity, parse_model
 from .rng import RngSeed
 from .smoothing import SmoothedModel1d, fisher_1d
@@ -245,7 +244,7 @@ def format_config(cfg: ExperimentConfig) -> str:
 
 
 def _map_trials(fn: Callable[[int], tuple], count: int, threads: int):
-    # Whole trials (never pieces of one) go to the pool; ex.map keeps
+    # Whole units (blocks of trials, or cells) go to the pool; ex.map keeps
     # submission order, so output is independent of the thread count.
     workers = min(int(threads), count)
     if workers <= 1:
@@ -258,24 +257,45 @@ def _median_or_none(values):
     return float(np.median(values)) if values else None
 
 
-def _draw(base, n: int, ts: RngSeed, lambda_scale: float, dim=None):
-    """(lambda, samples) of one trial: the shift from ts.derive(1) (a
-    float, or a `dim`-vector), the samples from ts.derive(2)."""
-    lam = ts.derive(1).generator().uniform(-lambda_scale, lambda_scale,
-                                           size=dim)
-    return lam, base.sample(int(n), ts.derive(2)) + lam
+# Trials per block: at most _BLOCK_TRIALS, and no more than fit
+# _BLOCK_COORDS sample coordinates (n, or n * d, per trial), at least
+# one.  Fixed by the run's shape, never by the thread count.
+_BLOCK_TRIALS = 64
+_BLOCK_COORDS = 1 << 17
 
 
-def _trial(estimate, base, cfg, n: int, ts: RngSeed, lambda_scale: float):
-    """One simulated round: (lambda, samples, report or "error: ...").
+def _run_blocks(estimate_rows, base, cfg, n: int, seeds, lambda_scale: float,
+                threads: int, row: Callable, dim=None) -> list:
+    """row(t, lam, x, rep) for each trial t in order, in blocks.
 
-    Sampled by _draw; the estimator's seed is ts.derive(3).
+    Trial t draws its shift (a float, or a `dim`-vector) from
+    seeds[t].derive(1) and its n samples from seeds[t].derive(2).
+    estimate_rows runs once per block on its (B, n[, dim]) stack, with
+    seeds[t].derive(3) for trial t's row.  rep is the trial's report or
+    "error: ..." note: a whole-block failure is every row's note.
     """
-    lam, x = _draw(base, n, ts, lambda_scale)
-    try:
-        return lam, x, estimate(base, x, cfg, ts.derive(3))
-    except _TRIAL_ERRORS as e:
-        return lam, x, f"error: {e}"
+    shape = (n,) if dim is None else (n, dim)
+    size = max(1, min(_BLOCK_TRIALS, _BLOCK_COORDS // max(math.prod(shape), 1)))
+
+    def block(i: int) -> list:
+        first = i * size
+        block_seeds = seeds[first:first + size]
+        lams, x = [], np.empty((len(block_seeds),) + shape)
+        for ts, sample in zip(block_seeds, x):
+            lam = ts.derive(1).generator().uniform(-lambda_scale, lambda_scale,
+                                                   size=dim)
+            np.add(base.sample(n, ts.derive(2)), lam, out=sample)
+            lams.append(lam)
+        try:
+            reps = estimate_rows(base, x, cfg, [ts.derive(3) for ts in block_seeds])
+        except _TRIAL_ERRORS as e:
+            reps = [e] * len(block_seeds)
+        return [row(first + b, lam, sample,
+                    f"error: {rep}" if isinstance(rep, Exception) else rep)
+                for b, (lam, sample, rep) in enumerate(zip(lams, x, reps))]
+
+    blocks = _map_trials(block, -(-len(seeds) // size), threads)
+    return [r for rows in blocks for r in rows]
 
 
 def _tally(rows):
@@ -327,9 +347,7 @@ def run_coverage(model_spec: str, n: int, trials: int, delta: float,
     root = RngSeed(int(seed))
     base_mean = base.mean()
 
-    def one(t: int) -> tuple:
-        lam, x, rep = _trial(global_mle_1d, base, cfg, n, root.derive(t),
-                             lambda_scale)
+    def row(t: int, lam, x, rep) -> tuple:
         if isinstance(rep, str):
             return (t, lam, None, None, None, None, None, rep)
         abs_err = abs(rep.lambda_hat - lam)
@@ -338,7 +356,9 @@ def run_coverage(model_spec: str, n: int, trials: int, delta: float,
         return (t, lam, rep.lambda_hat, abs_err, baseline,
                 rep.theoretical_radius, int(within), "")
 
-    rows = _map_trials(one, int(trials), threads)
+    rows = _run_blocks(global_mle_1d_rows, base, cfg, int(n),
+                       [root.derive(t) for t in range(int(trials))],
+                       lambda_scale, threads, row)
     ok, note = _tally(rows)
     rows.append(("summary", None, None,
                  _median_or_none([r[3] for r in ok]),
@@ -352,22 +372,12 @@ def run_coverage(model_spec: str, n: int, trials: int, delta: float,
 # -- high-dimensional coverage -----------------------------------------
 
 
-# Trials per high-d coverage block: at most _BLOCK_TRIALS, and no more
-# than fit _BLOCK_COORDS sample coordinates (n * d per trial), at least
-# one.  Fixed by the run's shape, never by the thread count.
-_BLOCK_TRIALS = 64
-_BLOCK_COORDS = 1 << 17
-
-
 def run_coverage_hd(model_spec: str, n: int, trials: int, delta: float,
                     r: float, seed: int, eta: float = 0.25,
                     threads: int = 1, lambda_scale: float = 2.0) -> CsvTable:
     """Monte Carlo coverage of the product-model estimator in M-norm.
 
-    Trials run in blocks: each trial draws its shift and samples from
-    its own streams (as _trial does), and the estimator runs once over
-    the block's (B, n, d) stack, with each row's noise from its own
-    ts.derive(3).derive(2).  A row's error is that row's note.
+    A failed trial's error is its row's note.
     """
     base = parse_model(model_spec)
     if not isinstance(base, ProductDensity):
@@ -375,35 +385,17 @@ def run_coverage_hd(model_spec: str, n: int, trials: int, delta: float,
     cfg = ConfigHd(delta=float(delta), r=float(r), eta=float(eta))
     M = cfg.norm_matrix(base.dim)
     root = RngSeed(int(seed))
-    n, trials = int(n), int(trials)
-    try:
-        plan = plan_hd(base, cfg, n)
-    except _TRIAL_ERRORS as e:
-        plan = f"error: {e}"
-    size = max(1, min(_BLOCK_TRIALS, _BLOCK_COORDS // (max(n, 1) * base.dim)))
 
-    def block(i: int) -> list:
-        block_trials = range(i * size, min((i + 1) * size, trials))
-        if isinstance(plan, str):
-            return [(t, None, None, None, plan) for t in block_trials]
-        seeds = [root.derive(t) for t in block_trials]
-        lams, x = [], np.empty((len(seeds), n, base.dim))
-        for ts, row in zip(seeds, x):
-            lam, row[:] = _draw(base, n, ts, lambda_scale, base.dim)
-            lams.append(lam)
-        reps = global_mle_hd_rows(plan, x, [ts.derive(3) for ts in seeds])
-        rows = []
-        for t, lam, rep in zip(block_trials, lams, reps):
-            if isinstance(rep, Exception):
-                rows.append((t, None, None, None, f"error: {rep}"))
-                continue
-            err = m_norm_unchecked(rep.lambda_hat - lam, M)
-            within = err <= rep.m_norm_error_bound
-            rows.append((t, err, rep.m_norm_error_bound, int(within), ""))
-        return rows
+    def row(t: int, lam, x, rep) -> tuple:
+        if isinstance(rep, str):
+            return (t, None, None, None, rep)
+        err = m_norm_unchecked(rep.lambda_hat - lam, M)
+        within = err <= rep.m_norm_error_bound
+        return (t, err, rep.m_norm_error_bound, int(within), "")
 
-    blocks = _map_trials(block, (trials + size - 1) // size, threads)
-    rows = [row for block_rows in blocks for row in block_rows]
+    rows = _run_blocks(global_mle_hd_rows, base, cfg, int(n),
+                       [root.derive(t) for t in range(int(trials))],
+                       lambda_scale, threads, row, base.dim)
     ok, note = _tally(rows)
     rows.append(("summary",
                  _median_or_none([r[1] for r in ok]),
@@ -430,15 +422,14 @@ def run_sawtooth_phase(w: float, slope: float, n_grid, trials: int,
     cfg = Config1d(delta=float(delta), min_n_factor=float(min_n_factor))
     root = RngSeed(int(seed))
     rows = []
+
+    def row(t: int, lam, x, rep):
+        return rep if isinstance(rep, str) else (abs(rep.lambda_hat - lam), rep)
+
     for i_n, n in enumerate(int(v) for v in n_grid):
-
-        def one(t: int, i_n=i_n, n=n):
-            lam, _, rep = _trial(global_mle_1d, base, cfg, n,
-                                 root.derive(i_n, t), lambda_scale)
-            return rep if isinstance(rep, str) else (
-                abs(rep.lambda_hat - lam), rep)
-
-        results = _map_trials(one, int(trials), threads)
+        results = _run_blocks(global_mle_1d_rows, base, cfg, n,
+                              [root.derive(i_n, t) for t in range(int(trials))],
+                              lambda_scale, threads, row)
         ok = [r for r in results if not isinstance(r, str)]
         n_errors = len(results) - len(ok)
         if not ok:

@@ -50,15 +50,6 @@ class SmoothedModel1d:
     def __post_init__(self):
         _require_radius(self.r)
 
-    def pdf(self, x):
-        return smoothed_pdf_1d(self, x)
-
-    def score(self, x):
-        return smoothed_score_1d(self, x)
-
-    def fisher(self) -> float:
-        return fisher_1d(self)
-
 
 def _log_pdf_and_score(m: SmoothedModel1d, x):
     u = np.asarray(x, dtype=float) - m.base.shift
@@ -79,10 +70,19 @@ def smoothed_score_1d(m: SmoothedModel1d, x):
     the score is not trusted that far into the tail.
     """
     log_pdf, score = _log_pdf_and_score(m, x)
-    bad = ~(log_pdf > _LOG_UNDERFLOW)
-    if np.any(bad):
-        raise TailUnderflowError(float(np.asarray(x, dtype=float)[bad].flat[0]), m.r)
+    first = _first_underflows(np.reshape(x, (1, -1)), log_pdf.reshape(1, -1))[0]
+    if first is not None:
+        raise TailUnderflowError(first, m.r)
     return float(score) if np.ndim(x) == 0 else score
+
+
+def _first_underflows(x: np.ndarray, log_pdf: np.ndarray) -> list:
+    """Per row of 2-d x, the first point where f_r < 1e-300, or None."""
+    bad = ~(log_pdf > _LOG_UNDERFLOW)
+    firsts = [None] * x.shape[0]
+    for b in np.flatnonzero(bad.any(axis=1)):
+        firsts[b] = float(x[b][bad[b]][0])
+    return firsts
 
 
 def _panel_rule(m: SmoothedModel1d, shift: float = 0.0):
@@ -191,10 +191,8 @@ def _smoothed_score_rows(m: SmoothedModelHd, pts: np.ndarray, coords=None):
     for j in range(m.dim) if coords is None else coords:
         col = pts[:, :, j]
         log_pdf, out[:, :, j] = _log_pdf_and_score(engines[j], col)
-        bad = ~(log_pdf > _LOG_UNDERFLOW)
-        for b in np.flatnonzero(bad.any(axis=1)):
-            if errors[b] is None:
-                first = float(col[b][bad[b]][0])
+        for b, first in enumerate(_first_underflows(col, log_pdf)):
+            if errors[b] is None and first is not None:
                 errors[b] = TailUnderflowError(f"coordinate {j} value {first}", m.r)
     return out, errors
 

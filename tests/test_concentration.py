@@ -17,6 +17,7 @@ from smoothloc import (
     exponential_generator,
     gaussian_generator,
     gaussian_tail,
+    m_norm,
     mgf_check,
     norm_bound,
     parse_model,
@@ -119,6 +120,19 @@ def test_subgamma_spec_validation():
         SubgammaSpec(np.eye(2), np.eye(3))
     spec = SubgammaSpec(np.eye(2), 0.0)
     assert spec.is_subgaussian and spec.dim == 2 and spec.trace_sigma == 2.0
+
+
+@pytest.mark.parametrize("bad,what", [
+    (np.ones((2, 3)), "square"),
+    (np.array([[1.0, 0.5], [0.0, 1.0]]), "symmetric within 1e-10"),
+    (np.diag([1.0, -0.5]), "positive semidefinite"),
+])
+def test_sym_psd_check_names_its_matrix(bad, what):
+    # Sigma and the estimator's norm matrix share one check
+    with pytest.raises(PreconditionError, match=f"^Sigma must be {what}$"):
+        SubgammaSpec(bad, 0.0)
+    with pytest.raises(PreconditionError, match=f"^norm matrix must be {what}$"):
+        m_norm(np.zeros(2), bad)
 
 
 # -- empirical quantiles ----------------------------------------------------------

@@ -22,6 +22,7 @@ from smoothloc import (
     quantile_initial_estimate,
     SmoothedModel1d,
 )
+from smoothloc.estimator1d import global_mle_1d_rows
 
 LOG20 = math.log(20.0)
 
@@ -152,6 +153,17 @@ def test_quantile_init_validation():
         quantile_initial_estimate(Gaussian(0, 1), [1.0, 2.0], 1.5)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_quantile_init_rejects_non_finite_samples(bad):
+    # sorting would move the bad value to an end and return a finite,
+    # meaningless shift
+    x = Laplace(0, 1).sample(201, RngSeed(31))
+    x[[17, 150]] = bad
+    with pytest.raises(PreconditionError,
+                       match=r"2 non-finite sample\(s\), the first at index 17$"):
+        quantile_initial_estimate(Laplace(0, 1), x, 0.5)
+
+
 # -- full pipeline ------------------------------------------------------------
 
 
@@ -230,6 +242,32 @@ def test_global_radius_scales_like_root_n():
     # slowly varying split/radius factors allowed, sqrt(n) must dominate
     for a, b in zip(scaled, scaled[1:]):
         assert max(a, b) / min(a, b) < 1.2
+
+
+def test_global_rejects_non_vector_samples():
+    x = np.zeros((2000, 2))
+    with pytest.raises(PreconditionError, match="samples must be a 1-d sequence"):
+        global_mle_1d(Laplace(0, 1), x, Config1d(delta=0.1), RngSeed(1))
+
+
+def test_block_row_underflow_is_that_rows_error():
+    # row 2's quantile slice sits 1000 away from its local slice, so its
+    # local step underflows; the other rows must not notice
+    base, cfg, n = Laplace(0, 1), Config1d(delta=0.1), 2000
+    root = RngSeed(78)
+    xs = np.stack([base.sample(n, root.derive(b)) for b in range(4)])
+    seeds = [root.derive(10 + b) for b in range(4)]
+    n_init = global_mle_1d_rows(base, xs, cfg, seeds)[2].n_used_init
+    xs[2, :n_init] += 1000.0
+    reps = global_mle_1d_rows(base, xs, cfg, seeds)
+
+    with pytest.raises(EstimationError, match="underflowed") as single:
+        global_mle_1d(base, xs[2], cfg, seeds[2])
+    assert isinstance(reps[2], EstimationError)
+    assert str(reps[2]) == str(single.value)
+    for b in (0, 1, 3):
+        one = global_mle_1d(base, xs[b], cfg, seeds[b])
+        assert reps[b] == one  # every field, bit for bit
 
 
 def test_global_small_budget_names_minimum():

@@ -28,7 +28,6 @@ from smoothloc.estimatorhd import (
     _local_rows,
     _weiszfeld,
     global_mle_hd_rows,
-    plan_hd,
 )
 
 LAP4 = parse_model("product(laplace(0,1)^4)")
@@ -75,6 +74,16 @@ def test_gmom_validation():
         geometric_median_of_means(np.zeros((10, 2)), 0.1)
     with pytest.raises(PreconditionError):
         geometric_median_of_means(np.zeros((100, 2)), 1.5)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_gmom_rejects_non_finite_samples(bad):
+    # a NaN would otherwise run Weiszfeld to its cap and return NaNs
+    x = LAP4.sample(200, RngSeed(12))[:, :3]
+    x[[40, 7], [1, 2]] = bad
+    with pytest.raises(PreconditionError,
+                       match=r"2 non-finite sample\(s\), the first at index 7$"):
+        geometric_median_of_means(x, 0.1)
 
 
 def test_gmom_coordinate_swap_exact():
@@ -238,16 +247,16 @@ def test_block_row_underflow_is_that_rows_error():
     # so its local step underflows; the other rows must not notice
     cfg = ConfigHd(delta=0.1, r=0.5, eta=0.25)
     n = 400
-    plan = plan_hd(LAP4, cfg, n)
     root = RngSeed(77)
     xs = np.stack([LAP4.sample(n, root.derive(b)) for b in range(4)])
-    xs[2, : plan.n_init] += 1000.0
     seeds = [root.derive(10 + b) for b in range(4)]
-    reps = global_mle_hd_rows(plan, xs, seeds)
+    n_init = global_mle_hd_rows(LAP4, xs, cfg, seeds)[2].n_used_init
+    xs[2, :n_init] += 1000.0
+    reps = global_mle_hd_rows(LAP4, xs, cfg, seeds)
 
-    lam1 = geometric_median_of_means(xs[2, : plan.n_init], 0.1)
+    lam1 = geometric_median_of_means(xs[2, :n_init], 0.1)
     with pytest.raises(EstimationError, match="underflowed") as single:
-        local_mle_hd(LAP4, 0.5, xs[2, plan.n_init:], lam1, seeds[2].derive(2))
+        local_mle_hd(LAP4, 0.5, xs[2, n_init:], lam1, seeds[2].derive(2))
     assert isinstance(reps[2], EstimationError)
     assert str(reps[2]) == str(single.value)
     with pytest.raises(EstimationError) as whole:
@@ -262,10 +271,11 @@ def test_block_row_underflow_is_that_rows_error():
 
     # the same at the local stage alone, from a start 1000 away
     engine = SmoothedModelHd(LAP4, 0.5)
-    local_x = xs[[0, 1, 3], plan.n_init:]
+    local_x = xs[[0, 1, 3], n_init:]
     starts = np.zeros((3, 4))
     starts[1] = 1000.0
-    hats, errors = _local_rows(engine, plan.fisher_inv, local_x, starts, seeds[:3])
+    hats, errors = _local_rows(engine, fisher_hd(engine).inverse(), local_x,
+                               starts, seeds[:3])
     with pytest.raises(EstimationError) as far:
         local_mle_hd(LAP4, 0.5, local_x[1], starts[1], seeds[1])
     assert [e is None for e in errors] == [True, False, True]

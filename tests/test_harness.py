@@ -157,6 +157,7 @@ def test_thread_pool_clamped_to_trial_count(monkeypatch):
             super().__init__(max_workers=max_workers, **kw)
 
     monkeypatch.setattr(harness, "ThreadPoolExecutor", RecordingPool)
+    monkeypatch.setattr(harness, "_BLOCK_TRIALS", 1)  # one trial per unit
     serial = run_coverage("gaussian(0,1)", 400, 3, 0.1, seed=5, threads=1)
     wide = run_coverage("gaussian(0,1)", 400, 3, 0.1, seed=5, threads=100_000)
     single = run_coverage("gaussian(0,1)", 400, 1, 0.1, seed=5, threads=8)
@@ -203,6 +204,103 @@ def test_coverage_r_override_plumbed():
     radius_t = next(r[5] for r in t.rows[:-1] if r[7] == "")
     radius_u = next(r[5] for r in u.rows[:-1] if r[7] == "")
     assert radius_t != radius_u
+
+
+# 1-d studies generated before they ran in blocks: a run whose trial
+# count is not a multiple of the block size, coverage with r and
+# lambda-scale set, a run whose every row is an error, and a sawtooth
+# scan with an error cell and an n whose blocks hold one trial
+FROZEN_1D = [
+    (run_coverage, dict(model_spec="laplace(0,1)", n=10_000, trials=37,
+                        delta=0.1, seed=7), """\
+trial,lambda_true,lambda_hat,abs_err,baseline_abs_err,theoretical_radius,within_flag,note
+0,-1.15892211,-1.1655739,0.00665178599,0.00472845033,0.037671734,1,
+1,0.636121168,0.652106058,0.0159848901,0.00833372307,0.037671734,1,
+2,1.55008263,1.54998232,0.000100312615,0.00131163792,0.037671734,1,
+3,-0.746512509,-0.764378035,0.0178655262,0.014096237,0.037671734,1,
+4,0.375892773,0.378715125,0.00282235159,0.00428171937,0.037671734,1,
+5,0.905967157,0.893180776,0.0127863805,0.0143151707,0.037671734,1,
+6,1.62190511,1.59971303,0.0221920734,0.0136721631,0.037671734,1,
+7,0.0242488077,0.0352803067,0.0110314991,0.00403094477,0.037671734,1,
+8,0.897695221,0.896352945,0.00134227662,0.00470732651,0.037671734,1,
+9,1.84238563,1.83582001,0.0065656205,0.010083897,0.037671734,1,
+10,-1.92545947,-1.95402623,0.0285667588,0.0277990537,0.037671734,1,
+11,1.92841864,1.92203558,0.00638305323,0.012297673,0.037671734,1,
+12,1.57826854,1.5820209,0.00375235703,0.0114992338,0.037671734,1,
+13,0.57903991,0.591903281,0.0128633711,0.014370787,0.037671734,1,
+14,-0.957468814,-0.983913938,0.0264451236,0.0236796801,0.037671734,1,
+15,0.211007129,0.183218417,0.0277887119,0.0417755224,0.037671734,1,
+16,1.84778597,1.83281166,0.0149743103,0.025193584,0.037671734,1,
+17,1.23157998,1.24300745,0.0114274684,0.0235211467,0.037671734,1,
+18,1.81676473,1.83096593,0.0142011944,0.00972697607,0.037671734,1,
+19,-0.98016199,-1.00322751,0.0230655243,0.0208239916,0.037671734,1,
+20,-0.540702909,-0.556898295,0.0161953859,0.019049837,0.037671734,1,
+21,-1.28333114,-1.27073176,0.0125993768,0.00291366146,0.037671734,1,
+22,-1.03786775,-1.03166399,0.00620376098,0.0193057733,0.037671734,1,
+23,1.47003131,1.48660756,0.016576246,0.0111067249,0.037671734,1,
+24,-1.61660787,-1.65628779,0.0396799157,0.057863088,0.037671734,0,
+25,-0.189510578,-0.210297127,0.0207865494,0.0525136887,0.037671734,1,
+26,-1.12876336,-1.15472665,0.0259632939,0.0173045701,0.037671734,1,
+27,1.14395483,1.12733892,0.0166159097,0.0107113322,0.037671734,1,
+28,-1.70424119,-1.70922827,0.00498708234,0.0128986191,0.037671734,1,
+29,1.83084168,1.83005111,0.000790571873,0.0160738307,0.037671734,1,
+30,0.38590476,0.382558424,0.0033463355,0.00207059098,0.037671734,1,
+31,0.5377466,0.565297587,0.0275509872,0.0143999679,0.037671734,1,
+32,-0.813500164,-0.796047883,0.0174522809,0.0214729064,0.037671734,1,
+33,1.36934111,1.35645155,0.012889559,0.0204847145,0.037671734,1,
+34,0.306213368,0.295788462,0.0104249058,0.0092748717,0.037671734,1,
+35,1.53491435,1.54616759,0.0112532387,0.00758532936,0.037671734,1,
+36,0.0309450088,0.0210720933,0.00987291555,0.0277278588,0.037671734,1,
+summary,,,0.0128633711,0.014096237,0.037671734,,failure_rate=0.027027027 failures=1 errors=0 trials=37
+"""),
+    (run_coverage, dict(model_spec="gaussian(0,1)", n=2000, trials=12,
+                        delta=0.1, seed=11, r_override=0.4,
+                        lambda_scale=5.0), """\
+trial,lambda_true,lambda_hat,abs_err,baseline_abs_err,theoretical_radius,within_flag,note
+0,-2.07416751,-2.09493876,0.0207712484,0.00907647711,0.0852641654,1,
+1,-3.81198249,-3.85208705,0.0401045611,0.0447174481,0.0852641654,1,
+2,2.31922198,2.38247193,0.0632499532,0.0611238859,0.0852641654,1,
+3,-1.94857111,-1.94435636,0.00421475136,0.0189068608,0.0852641654,1,
+4,-4.96776293,-4.93319831,0.0345646172,0.0245861042,0.0852641654,1,
+5,-0.422184711,-0.452752723,0.0305680124,0.0345832129,0.0852641654,1,
+6,-1.84827042,-1.82001626,0.0282541537,0.0108848012,0.0852641654,1,
+7,0.254851331,0.242385619,0.0124657129,0.012368215,0.0852641654,1,
+8,3.73430482,3.68352374,0.0507810754,0.0404707822,0.0852641654,1,
+9,3.81840425,3.81672835,0.00167589376,0.012769503,0.0852641654,1,
+10,-4.53135402,-4.51648734,0.0148666763,0.0158016495,0.0852641654,1,
+11,-2.17222157,-2.15469385,0.0175277145,0.031288041,0.0852641654,1,
+summary,,,0.0245127011,0.0217464825,0.0852641654,,failure_rate=0 failures=0 errors=0 trials=12
+"""),
+    (run_coverage, dict(model_spec="gaussian(0,1)", n=50, trials=5, delta=0.1,
+                        seed=5), """\
+trial,lambda_true,lambda_hat,abs_err,baseline_abs_err,theoretical_radius,within_flag,note
+0,0.427355252,,,,,,error: sample budget too small: n=50 < 100.0 * log(2/delta); need n >= 300
+1,0.739176035,,,,,,error: sample budget too small: n=50 < 100.0 * log(2/delta); need n >= 300
+2,1.97309446,,,,,,error: sample budget too small: n=50 < 100.0 * log(2/delta); need n >= 300
+3,-0.604384054,,,,,,error: sample budget too small: n=50 < 100.0 * log(2/delta); need n >= 300
+4,-0.631176367,,,,,,error: sample budget too small: n=50 < 100.0 * log(2/delta); need n >= 300
+summary,,,,,,,failure_rate=1 failures=0 errors=5 trials=5
+"""),
+    (run_sawtooth_phase, dict(w=0.05, slope=4.0, n_grid=(20, 100_000),
+                              trials=3, delta=0.1, seed=9), """\
+n,med_sqrt_n,r_star,fisher_at_r,median_abs_err,med_sqrt_n_local,n_local,trials,errors
+20,,,,,,,3,3
+100000,1.43760081,0.183123552,0.967852752,0.00454609294,1.15644241,64710,3,0
+"""),
+]
+
+
+@pytest.mark.parametrize("case", range(len(FROZEN_1D)))
+def test_1d_frozen_reference(case, monkeypatch):
+    import smoothloc.harness as harness
+
+    run, kw, text = FROZEN_1D[case]
+    for threads in (1, 2):
+        assert run(threads=threads, **kw).to_csv() == text
+    for block in (1, 3):
+        monkeypatch.setattr(harness, "_BLOCK_TRIALS", block)
+        for threads in (1, 2):
+            assert run(threads=threads, **kw).to_csv() == text
 
 
 def test_coverage_hd_thread_invariance_and_reconcile():
