@@ -9,6 +9,7 @@ stdout, and `bench` runs a config-file experiment to a CSV file.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 import numpy as np
@@ -96,6 +97,8 @@ def _cmd_estimate(args) -> int:
     base = parse_model(args.model)
     if not isinstance(base, Density1d):
         raise PreconditionError("estimate needs a one-dimensional model")
+    if not math.isfinite(args.lambda_true):
+        raise PreconditionError(f"--lambda-true must be finite, got {args.lambda_true}")
     root = RngSeed(args.seed)
     x = base.sample(args.n, root.derive(2)) + args.lambda_true
     cfg = Config1d(delta=args.delta, r_override=args.r)
@@ -130,6 +133,8 @@ def _cmd_estimate_hd(args) -> int:
         raise PreconditionError(
             f"--lambda-true needs {base.dim} components, got {lam.size}"
         )
+    if not np.isfinite(lam).all():
+        raise PreconditionError(f"--lambda-true must be finite, got {args.lambda_true}")
     root = RngSeed(args.seed)
     x = base.sample(args.n, root.derive(2)) + lam
     cfg = ConfigHd(delta=args.delta, r=args.r, eta=args.eta)

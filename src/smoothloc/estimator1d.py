@@ -17,6 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import ClassVar
 
 import numpy as np
 
@@ -36,29 +37,35 @@ _TIE_TOL = 1e-12
 
 @dataclass(frozen=True)
 class Config1d:
-    """Knobs of the two-stage estimator.
+    """Settings of the two-stage estimator.
 
-    delta is the failure probability of the coverage guarantee.  The
-    multipliers expose constants that the analysis fixes only up to
-    order: the r* schedule constant, the exponent of the sample split,
-    the quantile half-width q, and the minimal-sample guard factor.
+    delta is the failure probability of the coverage guarantee,
+    r_override a fixed smoothing radius in place of the r* schedule,
+    and min_n_factor the minimal-sample guard n >= min_n_factor *
+    log(2/delta).  The class constants fix what the analysis gives only
+    up to order: the r* schedule constant, the exponent of the sample
+    split, the multiplier of the quantile half-width q, and the step of
+    the alpha grid.
     """
 
+    r_star_multiplier: ClassVar[float] = 0.5
+    init_fraction_exponent: ClassVar[float] = 0.1
+    q_multiplier: ClassVar[float] = math.sqrt(2.0)
+    alpha_grid_step: ClassVar[float] = 1e-3
+
     delta: float
-    r_star_multiplier: float = 0.5
-    init_fraction_exponent: float = 0.1
-    q_multiplier: float = math.sqrt(2.0)
-    alpha_grid_step: float = 1e-3
     r_override: float | None = None
     min_n_factor: float = 100.0
 
     def __post_init__(self):
         if not 0.0 < self.delta <= 0.5:
             raise ConfigurationError("delta must be in (0, 0.5]")
-        for name in ("r_star_multiplier", "init_fraction_exponent",
-                     "q_multiplier", "alpha_grid_step", "min_n_factor"):
-            if not getattr(self, name) > 0:
-                raise ConfigurationError(f"{name} must be positive")
+        # the guard must be a finite count, or the budget message overflows
+        if not (self.min_n_factor > 0 and math.isfinite(
+                self.min_n_factor * math.log(2.0 / self.delta))):
+            raise ConfigurationError(
+                "min_n_factor must be positive, with min_n_factor * log(2/delta) finite"
+            )
         if self.r_override is not None and not (
                 self.r_override > 0 and math.isfinite(self.r_override)):
             raise ConfigurationError("r_override must be finite and positive when set")
@@ -107,7 +114,8 @@ def local_mle_1d(base: Density1d, r: float, samples, lambda1: float,
 
 
 @lru_cache(maxsize=None)
-def choose_alpha(base: Density1d, q: float, grid_step: float = 1e-3) -> float:
+def choose_alpha(base: Density1d, q: float,
+                 grid_step: float = Config1d.alpha_grid_step) -> float:
     """Quantile level whose central 2q-interval is narrowest.
 
     Scans alpha over the grid q + k*grid_step inside [q, 1-q] and

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -51,20 +52,24 @@ _WEISZFELD_CAP = 200
 
 @dataclass(frozen=True)
 class ConfigHd:
-    """Knobs of the high-dimensional estimator.
+    """Settings of the high-dimensional estimator.
 
-    M is the norm matrix of the error report (identity if omitted).
-    init_fraction defaults to eta/10, the slice handed to the robust
-    initializer.  The model-dependent requirement r^2 <= ||Sigma|| is
-    checked by global_mle_hd_rows, which sees the model.
+    delta is the failure probability of the deviation bound, r the
+    smoothing radius, and eta the slack of the bound; eta/10 of the
+    samples go to the robust initializer.  M is the norm matrix of the
+    error report (identity if omitted).  The class constant
+    mom_buckets_multiplier sets the median-of-means bucket count
+    ceil(3.5 log(2/delta)).  The model-dependent requirement
+    r^2 <= ||Sigma|| is checked by global_mle_hd_rows, which sees the
+    model.
     """
+
+    mom_buckets_multiplier: ClassVar[float] = 3.5
 
     delta: float
     r: float
     eta: float = 0.25
-    init_fraction: float | None = None
     M: np.ndarray | None = None
-    mom_buckets_multiplier: float = 3.5
 
     def __post_init__(self):
         if not 0.0 < self.delta <= 0.5:
@@ -73,17 +78,13 @@ class ConfigHd:
             raise ConfigurationError("r must be finite and positive")
         if not 0.0 < self.eta < 1.0:
             raise ConfigurationError("eta must be in (0, 1)")
-        if self.init_fraction is not None and not 0.0 < self.init_fraction < 0.5:
-            raise ConfigurationError("init_fraction must be in (0, 0.5)")
-        if not self.mom_buckets_multiplier > 0:
-            raise ConfigurationError("mom_buckets_multiplier must be positive")
         if self.M is not None:
             m = np.asarray(self.M, dtype=float)
             require_sym_psd(m, "norm matrix")
             object.__setattr__(self, "M", m)
 
     def effective_init_fraction(self) -> float:
-        return self.eta / 10.0 if self.init_fraction is None else self.init_fraction
+        return self.eta / 10.0
 
     def norm_matrix(self, dim: int) -> np.ndarray:
         if self.M is None:
@@ -181,8 +182,9 @@ def _gmom_rows(x: np.ndarray, k: int) -> np.ndarray:
     return _weiszfeld(x[:, : k * size].reshape(b, k, size, d).mean(axis=2))
 
 
-def geometric_median_of_means(samples, delta: float, seed: RngSeed | None = None,
-                              buckets_multiplier: float = 3.5) -> np.ndarray:
+def geometric_median_of_means(
+        samples, delta: float, seed: RngSeed | None = None,
+        buckets_multiplier: float = ConfigHd.mom_buckets_multiplier) -> np.ndarray:
     """Geometric median of bucket means; heavy-tail-robust location.
 
     Splits the samples by position into ceil(buckets_multiplier *
@@ -295,7 +297,7 @@ def global_mle_hd_rows(base: ProductDensity, samples: np.ndarray,
     """global_mle_hd on each row of a (B, n, d) stack of finite samples.
 
     Row b uses seeds[b] as global_mle_hd uses its seed.  The first
-    max(ceil(init_fraction*n), 2k) samples of a row feed the
+    max(ceil(eta/10 * n), 2k) samples of a row feed the
     median-of-means initializer (k buckets need at least 2 points
     each); the rest feed the local stage.  The deviation bound uses the
     total sample count.  The checks, the split, I_R^{-1} and the bound

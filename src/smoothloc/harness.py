@@ -151,10 +151,11 @@ _RANGE_CHECKS: Mapping[str, Callable[[object], bool]] = {
     "delta": lambda v: 0.0 < v < 1.0,
     "r": lambda v: v > 0.0 and math.isfinite(v),
     "eta": lambda v: 0.0 < v < 1.0,
-    "w": lambda v: v > 0.0,
-    "slope": lambda v: v >= 0.0,
-    "min-n-factor": lambda v: v > 0.0,
-    "lambda-scale": lambda v: v >= 0.0,
+    "w": lambda v: 0.0 < v < math.inf,
+    "slope": lambda v: 0.0 <= v < math.inf,
+    "min-n-factor": lambda v: 0.0 < v < math.inf,
+    # shifts are drawn from uniform(-v, v), which needs a finite width 2v
+    "lambda-scale": lambda v: 0.0 <= 2.0 * v < math.inf,
     "n-grid": lambda v: all(x >= 1 for x in v),
     "r-grid": lambda v: all(x > 0.0 and math.isfinite(x) for x in v),
     "d-grid": lambda v: all(x >= 1 for x in v),

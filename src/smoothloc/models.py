@@ -3,9 +3,9 @@
 Four one-dimensional shapes (Gaussian, Laplace, finite Gaussian mixture,
 Gaussian plus sawtooth ripple) and their products, each with exact pdf,
 cdf, quantile, and sampler, and the exact log-density and score of the
-shape convolved with N(0, r^2).  Every family carries an explicit
-location shift so estimators can form f^lambda without touching family
-parameters.
+shape convolved with N(0, r^2).  A model is the base f, located by its
+own parameters; the unknown shift lambda belongs to the data, which
+callers form as samples of f plus lambda.
 
 Instances are frozen and hashable; downstream caches key on them
 directly.
@@ -42,43 +42,41 @@ def _return_like(x, values):
 class Density1d:
     """Shared behavior for the one-dimensional families.
 
-    Subclasses implement the shape at shift 0 (_pdf_std and friends);
-    this class applies the location shift and the generic quantile
-    bisection.
+    Subclasses implement the shape on float arrays (_pdf and friends)
+    and its moments; this class adds the argument checks, the
+    scalar-or-array return, and the generic quantile bisection.
     """
 
-    shift: float
+    # -- shape, implemented per family ---------------------------------
 
-    # -- shape at shift 0, implemented per family ---------------------
-
-    def _pdf_std(self, u):
+    def _pdf(self, u):
         raise NotImplementedError
 
-    def _cdf_std(self, u):
+    def _cdf(self, u):
         raise NotImplementedError
 
-    def _quantile_std(self, p):
+    def _quantile(self, p):
         # generic bisection; closed-form families override
-        lo, hi = self._bracket_std()
-        return _bisect_cdf(self._cdf_std, p, lo, hi)
+        lo, hi = self._bracket()
+        return _bisect_cdf(self._cdf, p, lo, hi)
 
-    def _bracket_std(self):
+    def _bracket(self):
         raise NotImplementedError
 
-    def _draw_std(self, gen: np.random.Generator, n: int):
+    def _draw(self, gen: np.random.Generator, n: int):
         raise NotImplementedError
 
-    def _mean_std(self) -> float:
+    def mean(self) -> float:
         raise NotImplementedError
 
-    def _variance_std(self) -> float:
+    def variance(self) -> float:
         raise NotImplementedError
 
-    def _breakpoints_std(self):
+    def breakpoints(self):
         # x-locations where the pdf is not smooth; () when C^inf
         return ()
 
-    def _smoothed_std(self, u, r: float):
+    def _smoothed(self, u, r: float):
         """(log f_r(u), score s_r(u)) of the shape smoothed by N(0, r^2).
 
         Exact forms, in log space so that far tails keep a finite log
@@ -89,42 +87,26 @@ class Density1d:
     # -- public surface ------------------------------------------------
 
     def pdf(self, x):
-        u = np.asarray(x, dtype=float) - self.shift
-        return _return_like(x, self._pdf_std(u))
+        return _return_like(x, self._pdf(np.asarray(x, dtype=float)))
 
     def cdf(self, x):
-        u = np.asarray(x, dtype=float) - self.shift
-        return _return_like(x, self._cdf_std(u))
+        return _return_like(x, self._cdf(np.asarray(x, dtype=float)))
 
     def quantile(self, p):
         parr = np.asarray(p, dtype=float)
-        if np.any(parr <= 0.0) or np.any(parr >= 1.0):
+        # written so that NaN fails too
+        if not ((parr > 0.0) & (parr < 1.0)).all():
             raise PreconditionError("quantile requires 0 < p < 1")
-        return _return_like(p, self._quantile_std(parr) + self.shift)
+        return _return_like(p, self._quantile(parr))
 
     def sample(self, n: int, seed: RngSeed):
         if n < 1:
             raise PreconditionError("sample requires n >= 1")
-        gen = seed.generator()
-        return self._draw_std(gen, int(n)) + self.shift
+        return self._draw(seed.generator(), int(n))
 
     def iqr(self) -> float:
-        q = self._quantile_std(np.array([0.25, 0.75]))
+        q = self._quantile(np.array([0.25, 0.75]))
         return float(q[1] - q[0])
-
-    def mean(self) -> float:
-        return self._mean_std() + self.shift
-
-    def variance(self) -> float:
-        return self._variance_std()
-
-    def breakpoints(self):
-        return tuple(b + self.shift for b in self._breakpoints_std())
-
-    def shifted(self, c: float) -> "Density1d":
-        from dataclasses import replace
-
-        return replace(self, shift=self.shift + float(c))
 
     def quadrature_extent(self):
         """(lo_center, hi_center, sigma_max) for truncated integrals.
@@ -155,76 +137,73 @@ def _bisect_cdf(cdf, p, lo, hi, tol=1e-10):
 class Gaussian(Density1d):
     mu: float
     sigma: float
-    shift: float = 0.0
 
     def __post_init__(self):
         if not self.sigma > 0:
             raise PreconditionError("gaussian sigma must be > 0")
 
-    def _pdf_std(self, u):
+    def _pdf(self, u):
         return _phi((u - self.mu) / self.sigma) / self.sigma
 
-    def _cdf_std(self, u):
+    def _cdf(self, u):
         return special.ndtr((u - self.mu) / self.sigma)
 
-    def _quantile_std(self, p):
+    def _quantile(self, p):
         return self.mu + self.sigma * special.ndtri(p)
 
-    def _draw_std(self, gen, n):
+    def _draw(self, gen, n):
         return self.mu + self.sigma * gen.standard_normal(n)
 
-    def _mean_std(self):
-        return self.mu
+    def mean(self):
+        return float(self.mu)
 
-    def _variance_std(self):
+    def variance(self):
         return self.sigma**2
 
-    def _smoothed_std(self, u, r):
+    def _smoothed(self, u, r):
         var = self.sigma**2 + r * r
         d = np.asarray(u, dtype=float) - self.mu
         return -0.5 * d * d / var - 0.5 * math.log(2.0 * math.pi * var), -d / var
 
     def quadrature_extent(self):
-        c = self.mu + self.shift
-        return (c, c, self.sigma)
+        return (self.mu, self.mu, self.sigma)
 
 
 @dataclass(frozen=True)
 class Laplace(Density1d):
     mu: float
     b: float
-    shift: float = 0.0
 
     def __post_init__(self):
         if not self.b > 0:
             raise PreconditionError("laplace scale b must be > 0")
 
-    def _pdf_std(self, u):
+    def _pdf(self, u):
         return np.exp(-np.abs(u - self.mu) / self.b) / (2.0 * self.b)
 
-    def _cdf_std(self, u):
+    def _cdf(self, u):
         t = (np.asarray(u, dtype=float) - self.mu) / self.b
         return np.where(t <= 0, 0.5 * np.exp(t), 1.0 - 0.5 * np.exp(-t))
 
-    def _quantile_std(self, p):
+    def _quantile(self, p):
         p = np.asarray(p, dtype=float)
         lower = self.mu + self.b * np.log(2.0 * p)
         upper = self.mu - self.b * np.log(2.0 * (1.0 - p))
         return np.where(p <= 0.5, lower, upper)
 
-    def _draw_std(self, gen, n):
+    def _draw(self, gen, n):
         return gen.laplace(self.mu, self.b, n)
 
-    def _mean_std(self):
-        return self.mu
+    def mean(self):
+        return float(self.mu)
 
-    def _variance_std(self):
+    def variance(self):
         return 2.0 * self.b**2
 
-    def _breakpoints_std(self):
+    def breakpoints(self):
         return (self.mu,)
 
-    def _smoothed_std(self, u, r):
+    def _smoothed(self, u, r):
         # normal-Laplace density (Reed & Jorgensen 2004): e^a and e^c are
         # the kernel mass left and right of the kink; the Gaussian terms
         # of their derivatives cancel, which leaves a tanh score
@@ -236,9 +215,8 @@ class Laplace(Density1d):
         return log_pdf, np.tanh(0.5 * (a - c)) / b
 
     def quadrature_extent(self):
-        c = self.mu + self.shift
         # sd of Laplace is sqrt(2) b; its tails are heavier than Gaussian
-        return (c, c, math.sqrt(2.0) * self.b)
+        return (self.mu, self.mu, math.sqrt(2.0) * self.b)
 
 
 @dataclass(frozen=True)
@@ -246,7 +224,6 @@ class GaussianMixture(Density1d):
     weights: tuple
     means: tuple
     sigmas: tuple
-    shift: float = 0.0
 
     def __post_init__(self):
         w = tuple(float(v) for v in self.weights)
@@ -267,37 +244,37 @@ class GaussianMixture(Density1d):
     def _arrays(self):
         return (np.asarray(self.weights), np.asarray(self.means), np.asarray(self.sigmas))
 
-    def _pdf_std(self, u):
+    def _pdf(self, u):
         w, m, s = self._arrays()
         u = np.asarray(u, dtype=float)
         t = (u[..., None] - m) / s
         comp = np.exp(-0.5 * np.square(t)) / (s * _SQRT2PI)
         return np.sum(w * comp, axis=-1)
 
-    def _cdf_std(self, u):
+    def _cdf(self, u):
         w, m, s = self._arrays()
         u = np.asarray(u, dtype=float)
         return np.sum(w * special.ndtr((u[..., None] - m) / s), axis=-1)
 
-    def _bracket_std(self):
+    def _bracket(self):
         w, m, s = self._arrays()
         return (float(np.min(m - 14.0 * s)), float(np.max(m + 14.0 * s)))
 
-    def _draw_std(self, gen, n):
+    def _draw(self, gen, n):
         w, m, s = self._arrays()
         comp = gen.choice(len(self.weights), size=n, p=w / w.sum())
         return m[comp] + s[comp] * gen.standard_normal(n)
 
-    def _mean_std(self):
+    def mean(self):
         w, m, _ = self._arrays()
         return float(np.sum(w * m))
 
-    def _variance_std(self):
+    def variance(self):
         w, m, s = self._arrays()
         mu = np.sum(w * m)
         return float(np.sum(w * (s**2 + m**2)) - mu**2)
 
-    def _smoothed_std(self, u, r):
+    def _smoothed(self, u, r):
         w, m, s = self._arrays()
         var = s**2 + r * r
         d = np.asarray(u, dtype=float)[..., None] - m
@@ -308,11 +285,7 @@ class GaussianMixture(Density1d):
 
     def quadrature_extent(self):
         _, m, s = self._arrays()
-        return (
-            float(np.min(m)) + self.shift,
-            float(np.max(m)) + self.shift,
-            float(np.max(s)),
-        )
+        return (float(np.min(m)), float(np.max(m)), float(np.max(s)))
 
 
 def _tri_wave(t):
@@ -341,7 +314,6 @@ class GaussianSawtooth(Density1d):
 
     w: float
     slope: float
-    shift: float = 0.0
 
     def __post_init__(self):
         if not 0.0 < self.w <= 0.5:
@@ -370,7 +342,7 @@ class GaussianSawtooth(Density1d):
         if np.any(inside):
             flat_out[inside] += self.w * self.slope * _tri_wave(flat_u[inside] / self.w)
 
-    def _pdf_std(self, u):
+    def _pdf(self, u):
         u = np.asarray(u, dtype=float)
         # asarray: for 0-d u, _phi returns a numpy scalar, whose reshape
         # is a copy that would drop the ripple
@@ -378,7 +350,7 @@ class GaussianSawtooth(Density1d):
         self._add_ripple(u.reshape(-1), out.reshape(-1))
         return out
 
-    def _cdf_std(self, u):
+    def _cdf(self, u):
         u = np.asarray(u, dtype=float)
         edge = self.n_teeth * self.w
         t = np.clip(u, -edge, edge) / self.w
@@ -389,10 +361,10 @@ class GaussianSawtooth(Density1d):
         )
         return special.ndtr(u) + ripple_mass
 
-    def _bracket_std(self):
+    def _bracket(self):
         return (-14.0, 14.0)
 
-    def _draw_std(self, gen, n):
+    def _draw(self, gen, n):
         # Rejection from the Gaussian envelope m_env * phi.  The batch size
         # depends only on the remaining count, so the candidate stream, and
         # with it the accepted draws, is reproducible.  The test
@@ -430,18 +402,18 @@ class GaussianSawtooth(Density1d):
                     break
         return out
 
-    def _mean_std(self):
+    def mean(self):
         # int x*ripple dx = -int Ripple(x) dx by parts; the tooth-count
         # parity decides the sign of the leftover quadratic areas
         nt = self.n_teeth
         sign = -1.0 if nt % 2 == 0 else 1.0
         return sign * self.w**3 * self.slope * nt / 4.0
 
-    def _variance_std(self):
+    def variance(self):
         # int x^2 * ripple dx vanishes (odd integrand after parts)
-        return 1.0 - self._mean_std() ** 2
+        return 1.0 - self.mean() ** 2
 
-    def _breakpoints_std(self):
+    def breakpoints(self):
         nt = self.n_teeth
         pts = [self.w * (k + 0.5) for k in range(-nt, nt)]
         pts += [-nt * self.w, nt * self.w]
@@ -453,7 +425,7 @@ class GaussianSawtooth(Density1d):
         nt = self.n_teeth
         return self.slope * (-1.0) ** (nt + np.arange(2 * nt + 1))
 
-    def _smoothed_std(self, u, r):
+    def _smoothed(self, u, r):
         # N(0, 1 + r^2) times (1 + R/N), with the smoothed ripple R and
         # its slope read from the cached grid; R is exactly 0 outside the
         # grid, where N may underflow, so 1/N is capped to stay finite
@@ -474,7 +446,7 @@ class GaussianSawtooth(Density1d):
         return log_pdf.reshape(shape), score.reshape(shape)
 
     def quadrature_extent(self):
-        return (self.shift, self.shift, 1.0)
+        return (0.0, 0.0, 1.0)
 
 
 # The smoothed ripple R = ripple * N(0, r^2) is sum_j D_j (u - b_j)_+ * N(0, r^2)
@@ -525,7 +497,7 @@ class _RippleGrid:
 @lru_cache(maxsize=8)
 def _ripple_grid(w: float, slope: float, r: float) -> _RippleGrid:
     saw = GaussianSawtooth(w, slope)
-    kinks = np.asarray(saw._breakpoints_std())
+    kinks = np.asarray(saw.breakpoints())
     seg = saw._segment_slopes()
     jumps = np.diff(seg, prepend=0.0, append=0.0)
     h = r / _RIPPLE_POINTS_PER_R
@@ -574,35 +546,15 @@ class ProductDensity:
     def dim(self) -> int:
         return len(self.components)
 
-    def pdf(self, x):
-        x = np.asarray(x, dtype=float)
-        squeeze = x.ndim == 1
-        pts = np.atleast_2d(x)
-        if pts.shape[1] != self.dim:
-            raise PreconditionError(f"expected points of dimension {self.dim}")
-        out = np.ones(pts.shape[0])
-        for j, c in enumerate(self.components):
-            out *= c.pdf(pts[:, j])
-        return float(out[0]) if squeeze else out
-
     def sample(self, n: int, seed: RngSeed):
         if n < 1:
             raise PreconditionError("sample requires n >= 1")
         gen = seed.generator()
-        cols = [c._draw_std(gen, int(n)) + c.shift for c in self.components]
+        cols = [c._draw(gen, int(n)) for c in self.components]
         return np.column_stack(cols)
 
     def covariance(self):
         return np.diag([c.variance() for c in self.components])
-
-    def mean(self):
-        return np.array([c.mean() for c in self.components])
-
-    def shifted(self, c):
-        c = np.broadcast_to(np.asarray(c, dtype=float), (self.dim,))
-        return ProductDensity(
-            tuple(comp.shifted(ci) for comp, ci in zip(self.components, c))
-        )
 
 
 # -- model-spec grammar ------------------------------------------------
@@ -776,14 +728,12 @@ def _fmt_num(v: float) -> str:
 
 
 def format_model(model) -> str:
-    """Canonical spec string; inverse of parse_model for shift-0 models."""
+    """Canonical spec string; inverse of parse_model."""
     if isinstance(model, ProductDensity):
         comps = model.components
         if len(comps) > 1 and all(c == comps[0] for c in comps[1:]):
             return f"product({format_model(comps[0])}^{len(comps)})"
         return "product(" + ",".join(format_model(c) for c in comps) + ")"
-    if getattr(model, "shift", 0.0) != 0.0:
-        raise ModelSpecError("the model-spec grammar cannot express a location shift")
     if isinstance(model, Gaussian):
         return f"gaussian({_fmt_num(model.mu)},{_fmt_num(model.sigma)})"
     if isinstance(model, Laplace):

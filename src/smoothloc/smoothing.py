@@ -6,7 +6,7 @@ validate the estimator analysis (score inversion bias, expected-score
 Taylor expansion, subgamma score moments).
 
 Every family has an exact f_r, evaluated in log space by the family
-itself (Density1d._smoothed_std): Gaussian components keep their form
+itself (Density1d._smoothed): Gaussian components keep their form
 with variance sigma^2 + r^2, Laplace becomes the normal-Laplace density,
 and the sawtooth is N(0, 1 + r^2) plus its smoothed ripple, read from a
 cached grid of exact values and derivatives.  Pointwise evaluation takes
@@ -52,8 +52,7 @@ class SmoothedModel1d:
 
 
 def _log_pdf_and_score(m: SmoothedModel1d, x):
-    u = np.asarray(x, dtype=float) - m.base.shift
-    return m.base._smoothed_std(u, m.r)
+    return m.base._smoothed(np.asarray(x, dtype=float), m.r)
 
 
 def smoothed_pdf_1d(m: SmoothedModel1d, x):

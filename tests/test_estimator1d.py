@@ -301,7 +301,10 @@ def test_local_rejects_non_finite_samples(bad):
 def test_config_validation():
     for bad in (dict(delta=0.0), dict(delta=0.6),
                 dict(delta=0.1, r_override=-1.0),
-                dict(delta=0.1, min_n_factor=0.0)):
+                dict(delta=0.1, min_n_factor=0.0),
+                # an infinite guard once overflowed in the budget message
+                dict(delta=0.1, min_n_factor=math.inf),
+                dict(delta=0.1, min_n_factor=1e308)):
         with pytest.raises(ConfigurationError):
             Config1d(**bad)
 

@@ -434,9 +434,7 @@ def test_global_hd_norm_matrix_mismatch():
 
 def test_config_hd_validation():
     for bad in (dict(delta=0.0, r=0.5), dict(delta=0.1, r=0.0),
-                dict(delta=0.1, r=0.5, eta=1.0),
-                dict(delta=0.1, r=0.5, init_fraction=0.7),
-                dict(delta=0.1, r=0.5, mom_buckets_multiplier=0.0)):
+                dict(delta=0.1, r=0.5, eta=1.0)):
         with pytest.raises(ConfigurationError):
             ConfigHd(**bad)
     with pytest.raises(PreconditionError):

@@ -1,5 +1,6 @@
 """Experiment drivers: config grammar, CSV shape, thread determinism."""
 
+import math
 import re
 import subprocess
 import sys
@@ -8,16 +9,22 @@ import numpy as np
 import pytest
 
 from smoothloc import (
+    Config1d,
+    ConfigHd,
     ConfigurationError,
     CsvTable,
     ExperimentConfig,
+    Laplace,
     ModelSpecError,
     PreconditionError,
     RngSeed,
+    choose_alpha,
     empirical_norm_quantile,
     format_config,
     gaussian_generator,
+    geometric_median_of_means,
     parse_config,
+    parse_model,
     run_concentration,
     run_coverage,
     run_coverage_hd,
@@ -582,3 +589,62 @@ def test_cli_bad_model_spec_exit_code():
     res = run_cli("fisher", "--model", "gauss(0,1)", "--r-grid", "0.5")
     assert res.returncode == 2
     assert "error:" in res.stderr and "position" in res.stderr
+
+
+@pytest.mark.parametrize("args", [
+    ("estimate", "--model", "laplace(0,1)", "--lambda-true", "nan"),
+    ("estimate-hd", "--model", "product(laplace(0,1)^2)", "--r", "0.5",
+     "--eta", "0.25", "--lambda-true", "inf,0"),
+], ids=["estimate", "estimate-hd"])
+def test_cli_rejects_non_finite_lambda_true(args):
+    # the shifted samples were rejected instead, with a message about samples
+    res = run_cli(*args, "--n", "1000", "--delta", "0.1", "--seed", "1")
+    assert res.returncode == 2
+    assert res.stderr.startswith("error: --lambda-true must be finite")
+
+
+@pytest.mark.parametrize("experiment,line", [
+    ("sawtooth-phase", "min-n-factor = inf"),
+    ("coverage", "lambda-scale = inf"),
+    ("coverage", "lambda-scale = 1e308"),
+])
+def test_cli_bench_rejects_settings_that_overflow(tmp_path, experiment, line):
+    # each once ended in an uncaught OverflowError
+    cfg = tmp_path / "c.cfg"
+    body = {"coverage": "model = laplace(0,1)\nn = 1000\n",
+            "sawtooth-phase": "w = 0.05\nslope = 4\nn-grid = 1000\n"}
+    cfg.write_text(f"experiment = {experiment}\n{body[experiment]}"
+                   f"trials = 2\ndelta = 0.1\nseed = 1\n{line}\n")
+    res = run_cli("bench", experiment, "--config", str(cfg),
+                  "--out", str(tmp_path / "o.csv"))
+    assert res.returncode == 2
+    key, _, value = line.partition(" = ")
+    assert res.stderr == f"error: key '{key}' out of range: {value}\n"
+
+
+# -- the surface perfbench reads ------------------------------------------------------
+
+
+def test_perfbench_surface():
+    # perfbench/checks.py and perfbench/traced.py (`--trace 1`) read the
+    # estimator constants from config instances and call the stages
+    # positionally
+    cfg, hd = Config1d(delta=0.1), ConfigHd(delta=0.1, r=0.5, eta=0.3)
+    assert (cfg.r_star_multiplier, cfg.init_fraction_exponent,
+            cfg.q_multiplier, cfg.alpha_grid_step) == (0.5, 0.1, math.sqrt(2.0), 1e-3)
+    assert hd.mom_buckets_multiplier == 3.5
+    assert hd.effective_init_fraction() == 0.3 / 10.0
+    for ctor, required, name in (
+            (Config1d, {}, "r_star_multiplier"),
+            (Config1d, {}, "init_fraction_exponent"),
+            (Config1d, {}, "q_multiplier"),
+            (Config1d, {}, "alpha_grid_step"),
+            (ConfigHd, {"r": 0.5}, "mom_buckets_multiplier")):
+        with pytest.raises(TypeError, match=name):
+            ctor(delta=0.1, **required, **{name: 1.0})
+    q = cfg.q_multiplier * (math.log(2.0 / cfg.delta) / 10**4) ** 0.4
+    alpha = choose_alpha(Laplace(0, 1), q, cfg.alpha_grid_step)
+    assert alpha == choose_alpha(Laplace(0, 1), q) and abs(alpha - 0.5) < 1e-3
+    x = parse_model("product(laplace(0,1)^4)").sample(200, RngSeed(3))
+    got = geometric_median_of_means(x, hd.delta, RngSeed(1), hd.mom_buckets_multiplier)
+    assert np.array_equal(got, geometric_median_of_means(x, hd.delta))

@@ -79,7 +79,7 @@ def test_smoothed_pdf_laplace_against_quadrature():
 
 def test_smoothed_pdf_symmetry_around_shift():
     lam = 2.0
-    for base in (Gaussian(0, 1).shifted(lam), Laplace(0, 1).shifted(lam)):
+    for base in (Gaussian(lam, 1), Laplace(lam, 1)):
         m = SmoothedModel1d(base, 0.7)
         for t in (0.3, 1.1, 2.6):
             a, b = smoothed_pdf_1d(m, lam + t), smoothed_pdf_1d(m, lam - t)
