@@ -3,7 +3,13 @@
 Estimate the translation lambda of a known density shape from samples,
 using exact closed-form smoothed scores and Fisher information, with
 finite-sample error radii and subgamma norm-concentration bounds.
+
+Non-fatal events (a Weiszfeld run stopped at its iteration cap) go to
+the "smoothloc" logger, which has only a NullHandler until the
+application configures logging.
 """
+
+import logging
 
 from .errors import (
     ConfigurationError,
@@ -138,3 +144,5 @@ __all__ = [
 ]
 
 __version__ = "0.1.0"
+
+logging.getLogger(__name__).addHandler(logging.NullHandler())

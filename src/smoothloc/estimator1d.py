@@ -151,7 +151,7 @@ def _quantile_rows(base: Density1d, x: np.ndarray, alpha: float) -> np.ndarray:
     """quantile_initial_estimate on each row of a (B, m) stack."""
     m = x.shape[1]
     idx = min(max(int(math.ceil(alpha * m)), 1), m)
-    return np.sort(x, axis=1)[:, idx - 1] - base.quantile(alpha)
+    return np.partition(x, idx - 1, axis=1)[:, idx - 1] - base.quantile(alpha)
 
 
 def quantile_initial_estimate(base: Density1d, samples_init, alpha: float) -> float:

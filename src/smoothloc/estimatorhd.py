@@ -23,6 +23,7 @@ T = M^{1/2} I_R^{-1} M^{1/2}.
 
 from __future__ import annotations
 
+import logging
 import math
 from dataclasses import dataclass
 from typing import ClassVar
@@ -48,6 +49,8 @@ from .smoothing import (
 
 _WEISZFELD_TOL = 1e-10
 _WEISZFELD_CAP = 200
+
+_log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -136,7 +139,9 @@ def _weiszfeld(points: np.ndarray) -> np.ndarray:
     test stops it: the step falls to _WEISZFELD_TOL, all its points
     coincide, or the subgradient test passes at a data point (Vardi and
     Zhang), else it is nudged off that point.  Every row runs the
-    iterations, and rounds the numbers, that it would run alone.
+    iterations, and rounds the numbers, that it would run alone.  Rows
+    still moving after _WEISZFELD_CAP iterations keep their last iterate,
+    and one WARNING on the smoothloc logger counts them.
     """
     out = points.mean(axis=1)
     rows = np.arange(points.shape[0])
@@ -172,6 +177,8 @@ def _weiszfeld(points: np.ndarray) -> np.ndarray:
             if not rows.size:
                 return out
     out[rows] = y
+    _log.warning("Weiszfeld: %d of %d rows stopped at the %d-iteration cap "
+                 "without converging", rows.size, points.shape[0], _WEISZFELD_CAP)
     return out
 
 

@@ -26,6 +26,9 @@ from .errors import ModelSpecError, PreconditionError
 from .rng import RngSeed
 
 _SQRT2PI = math.sqrt(2.0 * math.pi)
+_SQRT_HALF = math.sqrt(0.5)
+_ERFC_MAX_X = 26.0  # erfc underflows past this argument
+_LAPLACE_BLOCK = 1 << 13
 
 
 def _phi(u):
@@ -204,15 +207,51 @@ class Laplace(Density1d):
         return (self.mu,)
 
     def _smoothed(self, u, r):
-        # normal-Laplace density (Reed & Jorgensen 2004): e^a and e^c are
-        # the kernel mass left and right of the kink; the Gaussian terms
-        # of their derivatives cancel, which leaves a tanh score
-        t = np.asarray(u, dtype=float) - self.mu
+        # in blocks of _LAPLACE_BLOCK points, whose temporaries stay in cache
+        t = np.reshape(np.asarray(u, dtype=float) - self.mu, -1)
+        if t.size <= _LAPLACE_BLOCK:
+            log_pdf, score = self._normal_laplace(t, r)
+        else:
+            log_pdf, score = np.empty_like(t), np.empty_like(t)
+            for start in range(0, t.size, _LAPLACE_BLOCK):
+                sl = slice(start, start + _LAPLACE_BLOCK)
+                log_pdf[sl], score[sl] = self._normal_laplace(t[sl], r)
+        return log_pdf.reshape(np.shape(u)), score.reshape(np.shape(u))
+
+    def _normal_laplace(self, t, r):
+        # The normal-Laplace density (Reed & Jorgensen 2004), even in t:
+        #   f_r = e^{k^2/2}/(2b) [e^{t/b} Phi(-t/r - k) + e^{-t/b} Phi(t/r - k)]
+        # with k = r/b.  Put tau = |t|, z = tau/r, x1 = (z + k)/sqrt2 and
+        # x2 = (k - z)/sqrt2.  With Phi(-y) = erfc(y/sqrt2)/2 and
+        # erfc(x1) = erfcx(x1) e^{-x1^2}, where 2zk - x1^2 = -x2^2,
+        #   f_r = e^{k^2/2 - tau/b}/(4b) [near + far],
+        #   near = erfc(x2),  far = erfcx(x1) e^{-x2^2} <= near,
+        # and, as the Gaussian terms of the derivative cancel,
+        #   s_r = sign(t) (far - near)/(near + far)/b.
+        # erfc(x2) underflows past x2 = 26, which needs r/b > 36.8; there
+        # both terms are divided by e^{-x2^2}: near = erfcx(x2),
+        # far = erfcx(x1), and the prefactor becomes e^{-z^2/2}/(4b).
+        # Beyond z = k + 40, far is 0 and near is 2 to the last bit, so z is
+        # capped there, which keeps tau/r finite.
         b = self.b
-        a = t / b + special.log_ndtr(-t / r - r / b)
-        c = -t / b + special.log_ndtr(t / r - r / b)
-        log_pdf = np.logaddexp(a, c) + 0.5 * (r / b) ** 2 - math.log(2.0 * b)
-        return log_pdf, np.tanh(0.5 * (a - c)) / b
+        k = r / b
+        tau = np.abs(t)
+        z = np.minimum(tau, r * (k + 40.0)) / r
+        x1 = (z + k) * _SQRT_HALF
+        x2 = (k - z) * _SQRT_HALF
+        log_scale = (0.5 * k * k - math.log(4.0 * b)) - tau / b
+        any_deep = k * _SQRT_HALF > _ERFC_MAX_X  # x2 is at most k/sqrt2
+        x2_near = np.minimum(x2, _ERFC_MAX_X) if any_deep else x2
+        near = special.erfc(x2_near)
+        far = special.erfcx(x1)
+        if any_deep:
+            deep = x2 > _ERFC_MAX_X
+            near[deep] = special.erfcx(x2[deep])
+            log_scale[deep] = -0.5 * np.square(z[deep]) - math.log(4.0 * b)
+            x2_near[deep] = 0.0  # far stays erfcx(x1) there
+        far *= np.exp(-x2_near * x2_near)
+        total = near + far
+        return np.log(total) + log_scale, np.sign(t) * (far - near) / (total * b)
 
     def quadrature_extent(self):
         # sd of Laplace is sqrt(2) b; its tails are heavier than Gaussian

@@ -7,13 +7,14 @@ Taylor expansion, subgamma score moments).
 
 Every family has an exact f_r, evaluated in log space by the family
 itself (Density1d._smoothed): Gaussian components keep their form
-with variance sigma^2 + r^2, Laplace becomes the normal-Laplace density,
-and the sawtooth is N(0, 1 + r^2) plus its smoothed ripple, read from a
-cached grid of exact values and derivatives.  Pointwise evaluation takes
-that one path for every batch size.  Integrals over x (Fisher
-information, expected shifted scores) use composite Gauss-Legendre
-panels whose edges sit on every kink of the base density and at
-geometric multiples of r around it, where f_r changes on the scale r.
+with variance sigma^2 + r^2, Laplace becomes the normal-Laplace density
+(one erfc and one erfcx per point), and the sawtooth is N(0, 1 + r^2)
+plus its smoothed ripple, read from a cached grid of exact values and
+derivatives.  Pointwise evaluation takes that one path for every batch
+size.  Integrals over x (Fisher information, expected shifted scores)
+use composite Gauss-Legendre panels whose edges sit on every kink of
+the base density and at geometric multiples of r around it, where f_r
+changes on the scale r.
 
 High-d smoothing uses R = r^2*I on product bases, so everything reduces
 exactly to per-coordinate 1-d evaluations.

@@ -22,7 +22,7 @@ from smoothloc import (
     quantile_initial_estimate,
     SmoothedModel1d,
 )
-from smoothloc.estimator1d import global_mle_1d_rows
+from smoothloc.estimator1d import _quantile_rows, global_mle_1d_rows
 
 LOG20 = math.log(20.0)
 
@@ -144,6 +144,21 @@ def test_quantile_init_two_samples_takes_lower():
     base = Gaussian(0, 1)
     # ceil(0.5 * 2) = 1, so the smaller order statistic is used
     assert quantile_initial_estimate(base, [3.0, 9.0], 0.5) == 3.0
+
+
+def test_quantile_rows_pick_the_sorted_order_statistic_with_ties():
+    # the start selects the ceil(alpha m)-th order statistic by partition;
+    # rows full of repeated values pick the same one that sorting picks
+    base = Laplace(0, 1)
+    rng = np.random.default_rng(5)
+    x = rng.integers(-3, 4, size=(7, 41)).astype(float)
+    x[0] = 2.0  # one row all equal
+    x[1, :20] = -1.0  # a tie straddling the median
+    x[1, 20:] = 1.0
+    for alpha in (0.01, 0.25, 0.5, 0.9, 0.99):
+        idx = math.ceil(alpha * x.shape[1])
+        want = np.sort(x, axis=1)[:, idx - 1] - base.quantile(alpha)
+        assert np.array_equal(_quantile_rows(base, x, alpha), want)
 
 
 def test_quantile_init_validation():

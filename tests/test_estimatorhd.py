@@ -1,6 +1,9 @@
 """High-dimensional estimator: robust init, local step, deviation bound."""
 
+import logging
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -20,6 +23,7 @@ from smoothloc import (
     local_mle_hd,
     m_norm,
     parse_model,
+    run_coverage_hd,
     theoretical_bound_hd,
 )
 from smoothloc.estimatorhd import (
@@ -187,6 +191,48 @@ def test_block_weiszfeld_against_direct_minimization():
         res = optimize.minimize(total, pts.mean(axis=0), jac=grad,
                                 method="BFGS", options={"gtol": 1e-12})
         assert np.max(np.abs(y - res.x)) < 1e-6
+
+
+def _capped_records(caplog):
+    return [r for r in caplog.records if r.name.startswith("smoothloc")]
+
+
+def test_weiszfeld_cap_is_logged(caplog):
+    rows = np.stack([_vertex_star(121.0), _vertex_star(130.0), _vertex_star(121.0)])
+    with caplog.at_level(logging.DEBUG, logger="smoothloc"):
+        _weiszfeld(rows)
+    [rec] = _capped_records(caplog)
+    assert rec.levelno == logging.WARNING
+    assert rec.getMessage() == ("Weiszfeld: 2 of 3 rows stopped at the "
+                                f"{_WEISZFELD_CAP}-iteration cap without converging")
+    caplog.clear()
+    with caplog.at_level(logging.DEBUG, logger="smoothloc"):
+        _weiszfeld(rows[1:2])
+    assert _capped_records(caplog) == []
+
+
+def test_coverage_hd_reports_the_capped_trial(caplog):
+    # one trial of these 400 stops at the cap (counted with reference_weiszfeld);
+    # the first 37 trials all converge
+    args = ("product(laplace(0,1)^4)", 500, 400, 0.1, 0.5)
+    with caplog.at_level(logging.DEBUG, logger="smoothloc"):
+        run_coverage_hd(*args, seed=7)
+    [rec] = _capped_records(caplog)
+    assert rec.levelno == logging.WARNING
+    assert rec.getMessage().startswith("Weiszfeld: 1 of 64 rows stopped")
+    caplog.clear()
+    with caplog.at_level(logging.DEBUG, logger="smoothloc"):
+        run_coverage_hd(*args[:2], 37, *args[3:], seed=7)
+    assert _capped_records(caplog) == []
+
+
+def test_capped_trial_leaves_stderr_quiet():
+    # the smoothloc logger has only a NullHandler: logging's last-resort
+    # handler must not print the warning
+    code = ("from smoothloc import run_coverage_hd; "
+            "run_coverage_hd('product(laplace(0,1)^4)', 500, 400, 0.1, 0.5, seed=7)")
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert res.returncode == 0 and res.stdout == "" and res.stderr == ""
 
 
 # -- local step ---------------------------------------------------------------

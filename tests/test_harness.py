@@ -127,6 +127,21 @@ def test_fisher_sweep_monotone_laplace():
     assert np.all(np.diff(vals) < 0)
 
 
+def test_fisher_sweep_laplace_frozen():
+    # kink-aware quadrature over the normal-Laplace form, generated by the
+    # log_ndtr form of the Laplace score before the erfc/erfcx form replaced it
+    t = run_fisher_sweep("laplace(0,1)", (1e-3, 0.01, 0.1, 0.25, 1.0, 3.0))
+    assert t.to_csv() == """\
+r,fisher
+0.001,0.998872402
+0.01,0.988793988
+0.1,0.89457832
+0.25,0.760871457
+1,0.368474423
+3,0.0910367681
+"""
+
+
 def test_fisher_sweep_rejections():
     with pytest.raises(PreconditionError):
         run_fisher_sweep("product(gaussian(0,1)^4)", (0.5,))

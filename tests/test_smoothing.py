@@ -1,6 +1,7 @@
 """Smoothed density/score/Fisher engine against independent oracles."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -180,6 +181,67 @@ def test_fisher_laplace_small_radius_against_normal_laplace():
     want = 2.0 * (near + far)  # the integrand is even
     got = fisher_1d(SmoothedModel1d(Laplace(0, 1), r))
     assert abs(got / want - 1.0) < 1e-7
+
+
+def mp_normal_laplace(mp, u, mu, r, b):
+    """(log f_r, s_r) of Laplace(mu, b) * N(0, r^2) at u, to 60 digits.
+
+    f_r = e^{k^2/2}/(2b) [e^{t/b} Phi(-t/r - k) + e^{-t/b} Phi(t/r - k)]
+    with t = u - mu and k = r/b; in f_r' the Gaussian terms cancel,
+    leaving 1/b times the difference of the two bracketed terms.
+    """
+    with mp.workdps(60):
+        t, r, b = mp.mpf(u) - mp.mpf(mu), mp.mpf(r), mp.mpf(b)
+        k = r / b
+        left = mp.exp(t / b) * mp.ncdf(-t / r - k)
+        right = mp.exp(-t / b) * mp.ncdf(t / r - k)
+        log_pdf = k * k / 2 - mp.log(2 * b) + mp.log(left + right)
+        return float(log_pdf), float((left - right) / ((left + right) * b))
+
+
+@pytest.mark.parametrize("k", [1e-4, 0.01, 0.25, 1.0, 10.0, 37.0, 100.0, 1e3])
+@pytest.mark.parametrize("b,mu", [(1.0, 0.0), (1.0, 0.7), (2.0, 0.0), (2.0, 0.7)])
+def test_laplace_smoothed_against_mpmath(b, mu, k):
+    mp = pytest.importorskip("mpmath")
+    r = k * b
+    ts = [0.0, 1e-8, -1e-8, r * r / b, -r * r / b, 0.3, -1.0, 5.0, -30.0, 700.0, -1e6]
+    u = mu + np.array(ts)
+    log_pdf, score = Laplace(mu, b)._smoothed(u, r)
+    for ui, got_log, got_score in zip(u, log_pdf, score):
+        want_log, want_score = mp_normal_laplace(mp, ui, mu, r, b)
+        assert abs(got_log - want_log) <= 1e-13 * max(1.0, abs(want_log)), ui
+        assert abs(got_score - want_score) * b <= 1e-13, ui
+
+
+def test_laplace_smoothed_keeps_shape():
+    base, r = Laplace(0.7, 2.0), 0.5
+    u = base.sample(3 * 5000, RngSeed(4)) + 0.1
+    log_pdf, score = base._smoothed(u, r)
+    # the stack is flattened into two 8192-point evaluation blocks; the
+    # 1-d call and each scalar call give every value bit for bit
+    grid_log, grid_score = base._smoothed(u.reshape(3, 5000), r)
+    assert grid_log.shape == grid_score.shape == (3, 5000)
+    assert np.array_equal(grid_log.ravel(), log_pdf)
+    assert np.array_equal(grid_score.ravel(), score)
+    for i in (0, 4999, 14999):
+        one_log, one_score = base._smoothed(u[i], r)
+        assert np.shape(one_log) == np.shape(one_score) == ()
+        assert one_log == log_pdf[i] and one_score == score[i]
+
+
+@pytest.mark.parametrize("r", [1e-4, 0.25])
+@pytest.mark.parametrize("b", [1.0, 2.0])
+def test_laplace_smoothed_far_points_finite_without_warnings(b, r):
+    base = Laplace(0, b)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        log_pdf, score = base._smoothed(np.array([1e308, -1e308]), r)
+        assert np.all(np.isfinite(log_pdf))
+        assert score.tolist() == [-1.0 / b, 1.0 / b]
+        m = SmoothedModel1d(base, r)
+        assert smoothed_pdf_1d(m, 1e308) == 0.0
+        with pytest.raises(TailUnderflowError):
+            smoothed_score_1d(m, -1e308)
 
 
 def test_score_tail_underflow():
