@@ -28,7 +28,6 @@ from .rng import RngSeed
 _SQRT2PI = math.sqrt(2.0 * math.pi)
 _SQRT_HALF = math.sqrt(0.5)
 _ERFC_MAX_X = 26.0  # erfc underflows past this argument
-_LAPLACE_BLOCK = 1 << 13
 
 
 def _phi(u):
@@ -207,18 +206,6 @@ class Laplace(Density1d):
         return (self.mu,)
 
     def _smoothed(self, u, r):
-        # in blocks of _LAPLACE_BLOCK points, whose temporaries stay in cache
-        t = np.reshape(np.asarray(u, dtype=float) - self.mu, -1)
-        if t.size <= _LAPLACE_BLOCK:
-            log_pdf, score = self._normal_laplace(t, r)
-        else:
-            log_pdf, score = np.empty_like(t), np.empty_like(t)
-            for start in range(0, t.size, _LAPLACE_BLOCK):
-                sl = slice(start, start + _LAPLACE_BLOCK)
-                log_pdf[sl], score[sl] = self._normal_laplace(t[sl], r)
-        return log_pdf.reshape(np.shape(u)), score.reshape(np.shape(u))
-
-    def _normal_laplace(self, t, r):
         # The normal-Laplace density (Reed & Jorgensen 2004), even in t:
         #   f_r = e^{k^2/2}/(2b) [e^{t/b} Phi(-t/r - k) + e^{-t/b} Phi(t/r - k)]
         # with k = r/b.  Put tau = |t|, z = tau/r, x1 = (z + k)/sqrt2 and
@@ -235,6 +222,7 @@ class Laplace(Density1d):
         # capped there, which keeps tau/r finite.
         b = self.b
         k = r / b
+        t = np.reshape(np.asarray(u, dtype=float) - self.mu, -1)
         tau = np.abs(t)
         z = np.minimum(tau, r * (k + 40.0)) / r
         x1 = (z + k) * _SQRT_HALF
@@ -251,7 +239,9 @@ class Laplace(Density1d):
             x2_near[deep] = 0.0  # far stays erfcx(x1) there
         far *= np.exp(-x2_near * x2_near)
         total = near + far
-        return np.log(total) + log_scale, np.sign(t) * (far - near) / (total * b)
+        log_pdf = np.log(total) + log_scale
+        score = np.sign(t) * (far - near) / (total * b)
+        return log_pdf.reshape(np.shape(u)), score.reshape(np.shape(u))
 
     def quadrature_extent(self):
         # sd of Laplace is sqrt(2) b; its tails are heavier than Gaussian

@@ -217,8 +217,8 @@ def test_laplace_smoothed_keeps_shape():
     base, r = Laplace(0.7, 2.0), 0.5
     u = base.sample(3 * 5000, RngSeed(4)) + 0.1
     log_pdf, score = base._smoothed(u, r)
-    # the stack is flattened into two 8192-point evaluation blocks; the
-    # 1-d call and each scalar call give every value bit for bit
+    # the stack, the 1-d call and each scalar call give every value bit
+    # for bit
     grid_log, grid_score = base._smoothed(u.reshape(3, 5000), r)
     assert grid_log.shape == grid_score.shape == (3, 5000)
     assert np.array_equal(grid_log.ravel(), log_pdf)
