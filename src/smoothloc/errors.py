@@ -67,10 +67,12 @@ def require_finite_samples(x) -> None:
 
 
 def require_sym_psd(m: np.ndarray, subject: str) -> None:
-    """Raise PreconditionError naming `subject` unless m is square and,
-    within 1e-10 of max(1, max |m_ij|), symmetric and PSD."""
+    """Raise PreconditionError naming `subject` unless m is square, finite
+    and, within 1e-10 of max(1, max |m_ij|), symmetric and PSD."""
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise PreconditionError(f"{subject} must be square")
+    if not np.all(np.isfinite(m)):
+        raise PreconditionError(f"{subject} must be finite")
     scale = max(1.0, float(np.max(np.abs(m))))
     if float(np.max(np.abs(m - m.T))) > _SYM_TOL * scale:
         raise PreconditionError(f"{subject} must be symmetric within 1e-10")

@@ -461,8 +461,9 @@ def run_concentration(families, d_grid, delta_grid, trials: int,
     """Empirical norm quantiles vs both bounds over a (family, d, delta) grid.
 
     Families use unit parameters at each dimension (identity covariance,
-    unit scales, unit bounds).  Each cell is a single vectorized Monte
-    Carlo batch on its own derived stream; cells parallelize as units.
+    unit scales, unit bounds).  Each cell draws its vectors from its own
+    derived stream, streamed in cache-sized row chunks that keep only the
+    norms (`empirical_norm_quantile`); cells parallelize as units.
     """
     for fam in families:
         if fam not in _UNIT_FAMILIES:

@@ -1,8 +1,8 @@
 """Deterministic, splittable random-number seeding.
 
 All randomness in the package flows through ``RngSeed``, a (seed, stream)
-pair mapped onto numpy's counter-based Philox generator.  Two properties
-matter:
+pair used as the key of numpy's counter-based Philox generator.  Two
+properties matter:
 
 * identical (seed, stream) -> bit-identical sample sequences, and
 * distinct streams derived from one seed are independent, so per-trial
@@ -15,6 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 _UINT64 = (1 << 64) - 1
 
@@ -28,8 +29,13 @@ def _splitmix64(z: int) -> int:
 
 
 @dataclass(frozen=True)
-class RngSeed:
-    """Root seed plus a stream index; both unsigned 64-bit."""
+class RngSeed(ISeedSequence):
+    """Root seed plus a stream index; both unsigned 64-bit.
+
+    An ``RngSeed`` is a numpy seed sequence that supplies exactly one
+    state, the Philox key, so ``Philox(rng_seed)`` skips the OS-entropy
+    ``SeedSequence`` that ``Philox(key=...)`` builds and discards.
+    """
 
     seed: int
     stream: int = 0
@@ -54,6 +60,22 @@ class RngSeed:
             s = _splitmix64(s ^ _splitmix64(int(ix) + 1))
         return RngSeed(self.seed, s)
 
+    def generate_state(self, n_words: int, dtype=np.uint32) -> np.ndarray:
+        """The Philox key: two uint64 words, the only request served.
+
+        The key is the one ``Philox(key=[seed, stream])`` makes: numpy's
+        cast of the list to uint64.  When exactly one of the two is
+        >= 2^63, the list converts through float64, which rounds both
+        words to 53 significant bits; 2^64 - 1 rounds out of range and
+        casts with a RuntimeWarning.  Every stream, and every frozen
+        result of the package, is drawn from these keys.
+        """
+        if n_words != 2 or np.dtype(dtype) != np.uint64:
+            raise ValueError("RngSeed supplies only a Philox key: "
+                             "2 words of uint64")
+        return np.asarray([self.seed, self.stream]).astype(np.uint64)
+
     def generator(self) -> np.random.Generator:
-        """Fresh numpy Generator; repeated calls restart the stream."""
-        return np.random.Generator(np.random.Philox(key=[self.seed, self.stream]))
+        """Fresh numpy Generator, the same stream as
+        ``Philox(key=[seed, stream])``; repeated calls restart it."""
+        return np.random.Generator(np.random.Philox(self))

@@ -25,6 +25,7 @@ from smoothloc import (
     score_vector_generator,
     tail_bound,
 )
+from smoothloc import concentration
 
 I4I4 = SubgammaSpec(np.eye(4), np.eye(4))
 
@@ -118,6 +119,8 @@ def test_subgamma_spec_validation():
         SubgammaSpec(np.diag([1.0, -0.5]), 0.0)
     with pytest.raises(PreconditionError):
         SubgammaSpec(np.eye(2), np.eye(3))
+    with pytest.raises(PreconditionError, match="^C must be finite$"):
+        SubgammaSpec(np.eye(2), np.diag([1.0, np.nan]))
     spec = SubgammaSpec(np.eye(2), 0.0)
     assert spec.is_subgaussian and spec.dim == 2 and spec.trace_sigma == 2.0
 
@@ -126,6 +129,8 @@ def test_subgamma_spec_validation():
     (np.ones((2, 3)), "square"),
     (np.array([[1.0, 0.5], [0.0, 1.0]]), "symmetric within 1e-10"),
     (np.diag([1.0, -0.5]), "positive semidefinite"),
+    (np.array([[np.nan]]), "finite"),
+    (np.array([[1.0, np.inf], [np.inf, 1.0]]), "finite"),
 ])
 def test_sym_psd_check_names_its_matrix(bad, what):
     # Sigma and the estimator's norm matrix share one check
@@ -152,6 +157,29 @@ def test_empirical_quantile_degenerate_and_validation():
         empirical_norm_quantile(zero, 50, 0.1, RngSeed(1))
     with pytest.raises(PreconditionError):
         empirical_norm_quantile(zero, 500, 1.0, RngSeed(1))
+
+
+def _generators():
+    m = SmoothedModelHd(parse_model("product(laplace(0,1)^4)"), 0.5)
+    scales = np.array([0.5, 1.0, 2.0, 3.0, 4.0])
+    return [gaussian_generator(np.eye(5)), gaussian_generator(np.diag(scales)),
+            exponential_generator(scales), rademacher_generator(scales),
+            score_vector_generator(m, np.array([0.1, 0.0, 0.0, 0.0]))]
+
+
+# (coordinates per chunk, n): n below one chunk; n not a multiple of the
+# chunk's 13107 rows; 3-row chunks with a 2-row tail; d = 5 above the
+# chunk's coordinate count, so one row per chunk
+@pytest.mark.parametrize("chunk_coords,n", [
+    (1 << 16, 1000), (1 << 16, 30_000), (16, 101), (4, 41)])
+def test_streamed_norms_equal_one_call_draw(chunk_coords, n, monkeypatch):
+    monkeypatch.setattr(concentration, "_CHUNK_COORDS", chunk_coords)
+    for i, gen in enumerate(_generators()):
+        seed = RngSeed(606).derive(i)
+        want = np.linalg.norm(gen.draw(n, seed), axis=1)
+        assert np.array_equal(concentration._norms(gen, n, seed), want)
+        q = empirical_norm_quantile(gen, n, 0.25, seed)
+        assert q == np.sort(want)[math.ceil((1.0 - 0.25) * n) - 1]
 
 
 @pytest.mark.parametrize("family", ["gaussian", "exponential", "rademacher"])
@@ -181,6 +209,13 @@ def test_generator_draw_shapes_and_determinism():
         exponential_generator(np.array([1.0, -1.0]))
     with pytest.raises(PreconditionError):
         rademacher_generator(np.array([0.0]))
+    with pytest.raises(PreconditionError, match="^Sigma must be finite$"):
+        gaussian_generator([[np.nan]])
+    for bad in ([np.inf], [1.0, np.nan]):
+        with pytest.raises(PreconditionError, match="finite positive"):
+            exponential_generator(bad)
+        with pytest.raises(PreconditionError, match="finite positive"):
+            rademacher_generator(bad)
 
 
 def test_mgf_check_gaussian_passes():
@@ -230,6 +265,12 @@ def test_mgf_check_preconditions():
         mgf_check(gen, v, [], 200_000, RngSeed(1))
     with pytest.raises(PreconditionError):
         mgf_check(gen, v, [0.1], 50_000, RngSeed(1))
+    # a NaN would otherwise read as a failed claim (worst_margin nan)
+    with pytest.raises(PreconditionError, match="^v must be finite$"):
+        mgf_check(gen, np.array([np.nan, 0.0]), [0.1], 200_000, RngSeed(1))
+    for grid in ([0.1, np.nan], [np.inf]):
+        with pytest.raises(PreconditionError, match="^lambda_grid must be finite$"):
+            mgf_check(gen, v, grid, 200_000, RngSeed(1))
 
 
 def test_score_vector_generator_centered_and_claimed():

@@ -476,6 +476,39 @@ def test_concentration_grid_and_cell_seeding():
     assert t.rows[3][4] == direct
 
 
+# generated by the code that drew each cell's (n, d) matrix in one call
+# and sorted all n norms
+FROZEN_CONCENTRATION = """\
+family,d,delta,trials,empirical_q,bound_subgamma,bound_gaussian,seed
+gaussian,1,0.1,20000,1.67270677,7.92327353,3.14596603,41
+gaussian,1,0.01,20000,2.59459143,10.2072297,4.03485426,41
+gaussian,4,0.1,20000,2.79036559,8.92327353,4.14596603,41
+gaussian,4,0.01,20000,3.6219682,11.2072297,5.03485426,41
+gaussian,64,0.1,20000,8.86122194,14.9232735,10.145966,41
+gaussian,64,0.01,20000,9.63752874,17.2072297,11.0348543,41
+exponential,1,0.1,20000,1.32499628,120.915181,4.44906782,41
+exponential,1,0.01,20000,3.55212792,202.395818,5.70614561,41
+exponential,4,0.1,20000,3.01364342,136.175941,5.86328138,41
+exponential,4,0.01,20000,5.2876183,222.224491,7.12035918,41
+exponential,64,0.1,20000,9.69308762,227.740505,14.3485628,41
+exponential,64,0.01,20000,11.6667165,341.196528,15.6056406,41
+rademacher,1,0.1,20000,1,7.92327353,3.14596603,41
+rademacher,1,0.01,20000,1,10.2072297,4.03485426,41
+rademacher,4,0.1,20000,2,8.92327353,4.14596603,41
+rademacher,4,0.01,20000,2,11.2072297,5.03485426,41
+rademacher,64,0.1,20000,8,14.9232735,10.145966,41
+rademacher,64,0.01,20000,8,17.2072297,11.0348543,41
+"""
+
+
+def test_concentration_frozen_reference():
+    for threads in (1, 2):
+        t = run_concentration(("gaussian", "exponential", "rademacher"),
+                              (1, 4, 64), (0.1, 0.01), trials=20_000, seed=41,
+                              threads=threads)
+        assert t.to_csv() == FROZEN_CONCENTRATION
+
+
 def test_concentration_unknown_family():
     with pytest.raises(ConfigurationError, match="unknown family"):
         run_concentration(("gauss",), (4,), (0.1,), 1000, 1)

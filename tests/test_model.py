@@ -304,3 +304,23 @@ def test_rng_seed_reproducible_and_splittable():
     d3 = RngSeed(9).derive(4, 8).generator().standard_normal(8)
     assert np.array_equal(d1, d2)
     assert not np.array_equal(d1, d3)
+
+
+# numpy converts the key list [2^64 - 1, small] through float64, with a
+# cast warning; the generator must reproduce that key too
+@pytest.mark.filterwarnings("ignore:invalid value encountered in cast")
+@pytest.mark.parametrize("seed", [0, 1, 2**64 - 1])
+def test_rng_seed_generator_matches_philox_key(seed):
+    root = RngSeed(seed)
+    draws = (lambda g: g.standard_normal(64), lambda g: g.laplace(size=64),
+             lambda g: g.random(64), lambda g: g.uniform(-2.0, 3.0, 64),
+             lambda g: g.integers(0, 2, 64), lambda g: g.exponential(1.0, 64))
+    for s in (root, root.derive(1), root.derive(2, 3), root.derive(40),
+              RngSeed(seed, 2**63), RngSeed(seed, 2**64 - 1)):
+        mine = s.generator()
+        ref = np.random.Generator(np.random.Philox(key=[s.seed, s.stream]))
+        for draw in draws:
+            assert np.array_equal(draw(mine), draw(ref))
+    for n_words, dtype in ((2, np.uint32), (4, np.uint64), (1, np.uint64)):
+        with pytest.raises(ValueError, match="only a Philox key"):
+            root.generate_state(n_words, dtype)
