@@ -30,7 +30,8 @@ from .harness import (
     run_experiment,
     run_fisher_sweep,
 )
-from .models import Density1d, ProductDensity, parse_model
+from .models import (Density1d, ProductDensity, parse_model,
+                     require_resolvable_shift)
 from .rng import RngSeed
 
 
@@ -99,6 +100,7 @@ def _cmd_estimate(args) -> int:
         raise PreconditionError("estimate needs a one-dimensional model")
     if not math.isfinite(args.lambda_true):
         raise PreconditionError(f"--lambda-true must be finite, got {args.lambda_true}")
+    require_resolvable_shift(base, args.lambda_true, "--lambda-true")
     root = RngSeed(args.seed)
     x = base.sample(args.n, root.derive(2)) + args.lambda_true
     cfg = Config1d(delta=args.delta, r_override=args.r)
@@ -135,6 +137,7 @@ def _cmd_estimate_hd(args) -> int:
         )
     if not np.isfinite(lam).all():
         raise PreconditionError(f"--lambda-true must be finite, got {args.lambda_true}")
+    require_resolvable_shift(base, lam, "--lambda-true")
     root = RngSeed(args.seed)
     x = base.sample(args.n, root.derive(2)) + lam
     cfg = ConfigHd(delta=args.delta, r=args.r, eta=args.eta)

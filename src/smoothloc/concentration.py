@@ -13,6 +13,13 @@ and the matching 1-delta quantile bound, the Gaussian-case baseline, and
 empirical validators (norm quantiles and a Monte Carlo MGF check) for a
 small set of generator families with certified (Sigma, C) claims.
 
+Sigma and C are each a symmetric matrix or a 1-d array, read (as
+numpy reads one) as the diagonal of a matrix.  Every generator family
+here has a diagonal claim, so the bounds cost O(d) and nothing of size
+d x d is built; a full matrix is the dense path, and the only one for a
+Gaussian with a non-diagonal Sigma.  A diagonal Gaussian scales its
+standard normals by sqrt(Sigma) in place.
+
 A generator hands out its draws as consecutive row chunks of one random
 stream.  The empirical norm quantile walks those chunks, each at most
 _CHUNK_COORDS coordinates, and keeps only the n norms, never the (n, d)
@@ -22,7 +29,9 @@ so the norms, and the quantile, are those of `VectorGenerator.draw`.
 The one exception is the Gaussian family with a non-diagonal Sigma:
 BLAS may round its product with Sigma^{1/2} in a different order for
 a different row count, so the quantile can differ from that of the
-one-call draw in the last place.
+one-call draw in the last place.  A family whose every draw has the
+same norm (Rademacher signs: ||b||) states it, and its quantile is that
+norm, rounded as the streamed row reduction rounds it, with no draws.
 """
 
 from __future__ import annotations
@@ -48,9 +57,24 @@ from .smoothing import (SmoothedModelHd, _coord_engines, expected_shifted_score,
 _CHUNK_COORDS = 1 << 16
 
 
+def _trace(m: np.ndarray) -> float:
+    """Trace of a matrix or of the diagonal a 1-d array stands for."""
+    return float(np.sum(m if m.ndim == 1 else np.diagonal(m)))
+
+
+def _top_eigenvalue(m: np.ndarray) -> float:
+    """Largest eigenvalue of a symmetric matrix or of a diagonal."""
+    return float(np.max(m) if m.ndim == 1 else np.linalg.eigvalsh(m).max())
+
+
 @dataclass(frozen=True)
 class SubgammaSpec:
-    """Variance proxy Sigma and scale matrix C of a subgamma claim."""
+    """Variance proxy Sigma and scale matrix C of a subgamma claim.
+
+    Each is a matrix or a 1-d diagonal (nonnegative for C); a scalar C
+    is C times the identity, kept as a diagonal, and C = 0 is the
+    subgaussian case.
+    """
 
     sigma: np.ndarray
     c: np.ndarray
@@ -58,13 +82,17 @@ class SubgammaSpec:
     def __post_init__(self):
         sigma = np.asarray(self.sigma, dtype=float)
         require_sym_psd(sigma, "Sigma")
+        d = sigma.shape[0]
         c = np.asarray(self.c, dtype=float)
         if not np.all(np.isfinite(c)):
             raise PreconditionError("C must be finite")
         if c.ndim == 0:
-            c = float(c) * np.eye(sigma.shape[0])
-        if c.shape != sigma.shape:
-            raise PreconditionError("C must match Sigma's shape (or be scalar 0)")
+            c = np.full(d, float(c))
+        if c.shape not in ((d,), (d, d)):
+            raise PreconditionError(
+                f"C must be a scalar, a {d}-vector or a ({d}, {d}) matrix")
+        if c.ndim == 1 and np.any(c < 0):
+            raise PreconditionError("C must be nonnegative as a diagonal")
         object.__setattr__(self, "sigma", sigma)
         object.__setattr__(self, "c", c)
 
@@ -74,19 +102,20 @@ class SubgammaSpec:
 
     @property
     def trace_sigma(self) -> float:
-        return float(np.trace(self.sigma))
+        return _trace(self.sigma)
 
     @property
     def sigma_norm(self) -> float:
-        return float(np.linalg.eigvalsh(self.sigma).max())
+        return _top_eigenvalue(self.sigma)
 
     @property
     def c_norm(self) -> float:
-        return float(np.linalg.norm(self.c, 2))
+        return float(np.max(self.c) if self.c.ndim == 1
+                     else np.linalg.norm(self.c, 2))
 
     @property
     def c_frob(self) -> float:
-        return float(np.linalg.norm(self.c, "fro"))
+        return float(np.linalg.norm(self.c))
 
     @property
     def is_subgaussian(self) -> bool:
@@ -103,6 +132,8 @@ class VectorGenerator:
     # (n, seed, rows) -> the n draws of `seed` as consecutive float arrays
     # of at most `rows` rows each, freshly allocated
     _chunks: Callable[[int, RngSeed, int], Iterator[np.ndarray]]
+    # ||x|| of every draw, for a family that fixes it; else None
+    fixed_norm: float | None = None
 
     def draw(self, n_trials: int, seed: RngSeed) -> np.ndarray:
         """n_trials draws as one (n_trials, dim) array."""
@@ -132,12 +163,20 @@ def _psd_root(mat: np.ndarray) -> np.ndarray:
 
 
 def gaussian_generator(sigma) -> VectorGenerator:
-    """x ~ N(0, Sigma); claims (Sigma, 0), the subgaussian case."""
+    """x ~ N(0, Sigma); claims (Sigma, 0), the subgaussian case.
+
+    Sigma is a PSD matrix or a 1-d diagonal of variances.
+    """
     spec = SubgammaSpec(np.asarray(sigma, dtype=float), 0.0)
-    root = _psd_root(spec.sigma)
+    diagonal = spec.sigma.ndim == 1
+    root = np.sqrt(spec.sigma) if diagonal else _psd_root(spec.sigma)
 
     def rows_of(gen, k):
-        return gen.standard_normal((k, spec.dim)) @ root.T
+        z = gen.standard_normal((k, spec.dim))
+        if diagonal:
+            z *= root
+            return z
+        return z @ root.T
 
     return VectorGenerator("gaussian", spec.dim, spec, _row_chunks(rows_of))
 
@@ -152,25 +191,34 @@ def exponential_generator(scales) -> VectorGenerator:
     s = np.asarray(scales, dtype=float)
     if s.ndim != 1 or not np.all((s > 0) & np.isfinite(s)):
         raise PreconditionError("scales must be a 1-d finite positive vector")
-    spec = SubgammaSpec(2.0 * np.diag(s * s), 2.0 * np.diag(s))
+    spec = SubgammaSpec(2.0 * (s * s), 2.0 * s)
 
     def rows_of(gen, k):
-        return (gen.exponential(1.0, (k, s.size)) - 1.0) * s
+        x = gen.exponential(1.0, (k, s.size))
+        x -= 1.0
+        x *= s
+        return x
 
     return VectorGenerator("exponential", s.size, spec, _row_chunks(rows_of))
 
 
 def rademacher_generator(bounds) -> VectorGenerator:
-    """x_j = b_j xi_j with xi_j uniform on {-1, +1}; claims (diag(b^2), 0)."""
+    """x_j = b_j xi_j with xi_j uniform on {-1, +1}; claims (diag(b^2), 0).
+
+    Every draw has norm ||b||: its squares are b_j^2 whatever the signs,
+    and the row reduction of the streamed norms sums them in one order.
+    """
     b = np.asarray(bounds, dtype=float)
     if b.ndim != 1 or not np.all((b > 0) & np.isfinite(b)):
         raise PreconditionError("bounds must be a 1-d finite positive vector")
-    spec = SubgammaSpec(np.diag(b * b), 0.0)
+    spec = SubgammaSpec(b * b, 0.0)
 
     def rows_of(gen, k):
         return b * (gen.integers(0, 2, (k, b.size)) * 2 - 1)
 
-    return VectorGenerator("rademacher", b.size, spec, _row_chunks(rows_of))
+    norm = float(_row_norms(b[None, :].copy(), np.empty(1))[0])
+    return VectorGenerator("rademacher", b.size, spec, _row_chunks(rows_of),
+                           norm)
 
 
 def score_vector_generator(m: SmoothedModelHd, eps) -> VectorGenerator:
@@ -196,8 +244,7 @@ def score_vector_generator(m: SmoothedModelHd, eps) -> VectorGenerator:
     inv_norm = 1.0 / float(fisher_diag.min())
     inflation = 2.0 * (1.0 + math.sqrt(quad_form)
                        * math.sqrt(max(1.0, math.log(inv_norm / (m.r * m.r)))))
-    spec = SubgammaSpec(np.diag(inflation * m_prime),
-                        15.0 * np.diag(np.sqrt(m_prime)))
+    spec = SubgammaSpec(inflation * m_prime, 15.0 * np.sqrt(m_prime))
     centers = np.array([expected_shifted_score(e, float(ej))
                         for e, ej in zip(_coord_engines(m), eps)])
 
@@ -239,33 +286,43 @@ def norm_bound(spec: SubgammaSpec, delta: float) -> float:
 
 
 def gaussian_tail(sigma, delta: float) -> float:
-    """sqrt(Tr Sigma) + sqrt(2 ||Sigma|| log(1/delta)), the Gaussian baseline."""
+    """sqrt(Tr Sigma) + sqrt(2 ||Sigma|| log(1/delta)), the Gaussian baseline.
+
+    Sigma is a matrix or a 1-d diagonal.
+    """
     if not 0.0 < delta <= 1.0:
         raise PreconditionError("delta must be in (0, 1]")
     sigma = np.asarray(sigma, dtype=float)
-    trace = float(np.trace(sigma))
-    norm = float(np.linalg.eigvalsh(sigma).max())
-    return math.sqrt(trace) + math.sqrt(2.0 * norm * math.log(1.0 / delta))
+    return (math.sqrt(_trace(sigma))
+            + math.sqrt(2.0 * _top_eigenvalue(sigma) * math.log(1.0 / delta)))
+
+
+def _row_norms(chunk: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """2-norm of each row of a 2-d float chunk, into out.  The chunk is
+    squared in place and row-summed, the reduction np.linalg.norm uses."""
+    np.multiply(chunk, chunk, out=chunk)
+    np.add.reduce(chunk, axis=1, out=out)
+    return np.sqrt(out, out=out)
 
 
 def _norms(gen: VectorGenerator, n_trials: int, seed: RngSeed) -> np.ndarray:
     """||x|| of each of n draws, streamed in chunks of at most _CHUNK_COORDS
-    coordinates.  Each chunk is squared in place and row-summed, the
-    reduction np.linalg.norm uses, so only the n norms are held."""
+    coordinates, so only the n norms are held."""
     norms = np.empty(n_trials)
     start = 0
     for chunk in gen._chunks(n_trials, seed, max(1, _CHUNK_COORDS // gen.dim)):
-        part = norms[start:start + chunk.shape[0]]
-        np.multiply(chunk, chunk, out=chunk)
-        np.add.reduce(chunk, axis=1, out=part)
-        np.sqrt(part, out=part)
+        _row_norms(chunk, norms[start:start + chunk.shape[0]])
         start += chunk.shape[0]
     return norms
 
 
 def empirical_norm_quantile(gen: VectorGenerator, n_trials: int, delta: float,
                             seed: RngSeed) -> float:
-    """Order statistic ceil((1-delta) n) of ||x|| over n fresh draws."""
+    """Order statistic ceil((1-delta) n) of ||x|| over n fresh draws.
+
+    For a generator with a fixed norm that is the norm, and nothing is
+    drawn.
+    """
     if not 0.0 < delta < 1.0:
         raise PreconditionError("delta must be in (0, 1)")
     if n_trials < math.ceil(10.0 / delta):
@@ -273,6 +330,8 @@ def empirical_norm_quantile(gen: VectorGenerator, n_trials: int, delta: float,
             f"n_trials={n_trials} too small for delta={delta}; "
             f"need at least {math.ceil(10.0 / delta)}"
         )
+    if gen.fixed_norm is not None:
+        return gen.fixed_norm
     k = min(max(int(math.ceil((1.0 - delta) * n_trials)), 1), n_trials) - 1
     return float(np.partition(_norms(gen, n_trials, seed), k)[k])
 
@@ -310,11 +369,13 @@ def mgf_check(gen: VectorGenerator, v, lambda_grid, n_mc: int,
     if n_mc < 100_000:
         raise PreconditionError("n_mc must be >= 10^5")
     spec = gen.claimed
-    quad = float(v @ spec.sigma @ v)
+    sigma_v = v * spec.sigma if spec.sigma.ndim == 1 else v @ spec.sigma
+    quad = float(sigma_v @ v)
     if spec.is_subgaussian:
         cap = 3.0 / math.sqrt(quad) if quad > 0 else math.inf
     else:
-        cv = float(np.linalg.norm(spec.c @ v))
+        c_v = spec.c * v if spec.c.ndim == 1 else spec.c @ v
+        cv = float(np.linalg.norm(c_v))
         cap = math.inf if cv == 0 else 1.0 / cv
     if float(np.max(np.abs(lambdas))) > cap + 1e-12:
         raise PreconditionError(

@@ -67,12 +67,20 @@ def require_finite_samples(x) -> None:
 
 
 def require_sym_psd(m: np.ndarray, subject: str) -> None:
-    """Raise PreconditionError naming `subject` unless m is square, finite
-    and, within 1e-10 of max(1, max |m_ij|), symmetric and PSD."""
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+    """Raise PreconditionError naming `subject` unless m is nonempty,
+    finite, and either a 1-d array of nonnegative entries (the diagonal
+    of a PSD matrix) or a square matrix that is, within 1e-10 of
+    max(1, max |m_ij|), symmetric and PSD."""
+    if m.ndim not in (1, 2) or m.shape[0] != m.shape[-1]:
         raise PreconditionError(f"{subject} must be square")
+    if m.size == 0:
+        raise PreconditionError(f"{subject} must not be empty")
     if not np.all(np.isfinite(m)):
         raise PreconditionError(f"{subject} must be finite")
+    if m.ndim == 1:
+        if np.any(m < 0):
+            raise PreconditionError(f"{subject} must be positive semidefinite")
+        return
     scale = max(1.0, float(np.max(np.abs(m))))
     if float(np.max(np.abs(m - m.T))) > _SYM_TOL * scale:
         raise PreconditionError(f"{subject} must be symmetric within 1e-10")

@@ -53,6 +53,14 @@ _WEISZFELD_CAP = 200
 _log = logging.getLogger(__name__)
 
 
+def _require_norm_matrix(m: np.ndarray) -> None:
+    """require_sym_psd for the error norm, which is a full matrix: the
+    shared check also reads a 1-d array as a diagonal."""
+    require_sym_psd(m, "norm matrix")
+    if m.ndim != 2:
+        raise PreconditionError("norm matrix must be square")
+
+
 @dataclass(frozen=True)
 class ConfigHd:
     """Settings of the high-dimensional estimator.
@@ -83,7 +91,7 @@ class ConfigHd:
             raise ConfigurationError("eta must be in (0, 1)")
         if self.M is not None:
             m = np.asarray(self.M, dtype=float)
-            require_sym_psd(m, "norm matrix")
+            _require_norm_matrix(m)
             object.__setattr__(self, "M", m)
 
     def effective_init_fraction(self) -> float:
@@ -114,7 +122,7 @@ def m_norm(x, M) -> float:
     """sqrt(x^T M x) for symmetric positive-semidefinite M."""
     x = np.asarray(x, dtype=float)
     M = np.asarray(M, dtype=float)
-    require_sym_psd(M, "norm matrix")
+    _require_norm_matrix(M)
     return m_norm_unchecked(x, M)
 
 
@@ -295,7 +303,7 @@ def theoretical_bound_hd(fisher: FisherMatrix, M, n: int, delta: float,
     if n < 1:
         raise PreconditionError("n must be >= 1")
     M = np.asarray(M, dtype=float)
-    require_sym_psd(M, "norm matrix")
+    _require_norm_matrix(M)
     return _bound(_t_eigenvalues(fisher.inverse(), M), n, delta, eta)
 
 

@@ -36,7 +36,8 @@ from .errors import (
 )
 from .estimator1d import Config1d, global_mle_1d_rows
 from .estimatorhd import ConfigHd, global_mle_hd_rows, m_norm_unchecked
-from .models import Density1d, GaussianSawtooth, ProductDensity, parse_model
+from .models import (Density1d, GaussianSawtooth, ProductDensity, parse_model,
+                     require_resolvable_shift)
 from .rng import RngSeed
 from .smoothing import SmoothedModel1d, fisher_1d
 
@@ -273,8 +274,11 @@ def _run_blocks(estimate_rows, base, cfg, n: int, seeds, lambda_scale: float,
     seeds[t].derive(1) and its n samples from seeds[t].derive(2).
     estimate_rows runs once per block on its (B, n[, dim]) stack, with
     seeds[t].derive(3) for trial t's row.  rep is the trial's report or
-    "error: ..." note: a whole-block failure is every row's note.
+    "error: ..." note: a whole-block failure is every row's note.  A
+    lambda_scale past float64 resolution of the model's samples is
+    rejected up front.
     """
+    require_resolvable_shift(base, lambda_scale, "lambda-scale")
     shape = (n,) if dim is None else (n, dim)
     size = max(1, min(_BLOCK_TRIALS, _BLOCK_COORDS // max(math.prod(shape), 1)))
 
@@ -450,7 +454,7 @@ def run_sawtooth_phase(w: float, slope: float, n_grid, trials: int,
 # -- concentration sweep -----------------------------------------------
 
 _UNIT_FAMILIES: Mapping[str, Callable[[int], VectorGenerator]] = {
-    "gaussian": lambda d: gaussian_generator(np.eye(d)),
+    "gaussian": lambda d: gaussian_generator(np.ones(d)),
     "exponential": lambda d: exponential_generator(np.ones(d)),
     "rademacher": lambda d: rademacher_generator(np.ones(d)),
 }

@@ -586,6 +586,31 @@ class ProductDensity:
         return np.diag([c.variance() for c in self.components])
 
 
+
+# Float64 resolves a shifted sample only while the spacing of doubles at
+# |lambda| is small against the model's spread.  A shift is accepted up
+# to a spacing of this fraction of the model's IQR (the smallest
+# component IQR of a product): forming lambda + draw then moves a sample
+# by at most half a millionth of the IQR, far below the estimator's error
+# at any n the harness runs.  Past it the draws round away, and an error
+# of 0 would measure nothing.
+_SHIFT_SPACING_FRACTION = 1e-6
+
+
+def require_resolvable_shift(base, shift, key: str) -> None:
+    """Raise PreconditionError naming `key` unless float64 resolves the
+    samples of `base` shifted by `shift`, a float or a vector (its
+    largest magnitude counts)."""
+    comps = base.components if isinstance(base, ProductDensity) else (base,)
+    iqr = min(c.iqr() for c in comps)
+    size = float(np.max(np.abs(shift)))
+    spacing = float(np.spacing(size))
+    if not spacing <= _SHIFT_SPACING_FRACTION * iqr:
+        raise PreconditionError(
+            f"{key} = {size:g} is too large for this model: float64 spacing "
+            f"there is {spacing:.3g}, more than {_SHIFT_SPACING_FRACTION:g} "
+            f"of the model's IQR {iqr:.6g}")
+
 # -- model-spec grammar ------------------------------------------------
 #
 #   gaussian(mu,sigma) | laplace(mu,b) | sawtooth(w,delta)

@@ -121,8 +121,32 @@ def test_subgamma_spec_validation():
         SubgammaSpec(np.eye(2), np.eye(3))
     with pytest.raises(PreconditionError, match="^C must be finite$"):
         SubgammaSpec(np.eye(2), np.diag([1.0, np.nan]))
+    # 1-d Sigma and C are diagonals
+    for sigma in (np.eye(2), np.ones(2)):
+        for bad in ([1.0, np.nan], [np.inf, 1.0]):
+            with pytest.raises(PreconditionError, match="^C must be finite$"):
+                SubgammaSpec(sigma, np.array(bad))
+        with pytest.raises(PreconditionError,
+                           match="^C must be nonnegative as a diagonal$"):
+            SubgammaSpec(sigma, np.array([1.0, -0.5]))
+        with pytest.raises(PreconditionError, match="^C must be a scalar, a 2-vector"):
+            SubgammaSpec(sigma, np.ones(3))
+    for bad, what in (([np.nan, 1.0], "finite"), ([1.0, -np.inf], "finite"),
+                      ([1.0, -0.5], "positive semidefinite")):
+        with pytest.raises(PreconditionError, match=f"^Sigma must be {what}$"):
+            SubgammaSpec(np.array(bad), 0.0)
+    for empty in (np.zeros(0), np.zeros((0, 0))):
+        with pytest.raises(PreconditionError, match="^Sigma must not be empty$"):
+            SubgammaSpec(empty, 0.0)
+    with pytest.raises(PreconditionError, match="^Sigma must not be empty$"):
+        rademacher_generator(np.zeros(0))
     spec = SubgammaSpec(np.eye(2), 0.0)
     assert spec.is_subgaussian and spec.dim == 2 and spec.trace_sigma == 2.0
+    # a scalar C is a diagonal, never a d x d matrix
+    diag = SubgammaSpec(np.ones(3), 0.0)
+    assert diag.is_subgaussian and diag.dim == 3 and diag.trace_sigma == 3.0
+    assert np.array_equal(diag.c, np.zeros(3))
+    assert np.array_equal(SubgammaSpec(np.eye(3), 2.0).c, np.full(3, 2.0))
 
 
 @pytest.mark.parametrize("bad,what", [
@@ -131,6 +155,9 @@ def test_subgamma_spec_validation():
     (np.diag([1.0, -0.5]), "positive semidefinite"),
     (np.array([[np.nan]]), "finite"),
     (np.array([[1.0, np.inf], [np.inf, 1.0]]), "finite"),
+    (np.array([np.nan, 1.0]), "finite"),
+    (np.array([1.0, np.inf]), "finite"),
+    (np.array([1.0, -0.5]), "positive semidefinite"),
 ])
 def test_sym_psd_check_names_its_matrix(bad, what):
     # Sigma and the estimator's norm matrix share one check
@@ -163,7 +190,8 @@ def _generators():
     m = SmoothedModelHd(parse_model("product(laplace(0,1)^4)"), 0.5)
     scales = np.array([0.5, 1.0, 2.0, 3.0, 4.0])
     return [gaussian_generator(np.eye(5)), gaussian_generator(np.diag(scales)),
-            exponential_generator(scales), rademacher_generator(scales),
+            gaussian_generator(scales), exponential_generator(scales),
+            rademacher_generator(scales),
             score_vector_generator(m, np.array([0.1, 0.0, 0.0, 0.0]))]
 
 
@@ -195,6 +223,74 @@ def test_bounds_dominate_empirical_quantiles(family):
             assert q <= norm_bound(gen.claimed, delta)
 
 
+@pytest.mark.parametrize("d", [1, 7, 129, 5000, (1 << 16) + 3])
+def test_rademacher_fixed_norm_is_the_streamed_norm(d):
+    # the quantile draws nothing; every drawn row has that norm, to the bit
+    b = RngSeed(707).derive(d).generator().uniform(0.1, 3.0, d)
+    gen = rademacher_generator(b)
+    seed = RngSeed(708).derive(d)
+    q = empirical_norm_quantile(gen, 100, 0.1, seed)
+    assert np.array_equal(concentration._norms(gen, 100, seed), np.full(100, q))
+    assert q == pytest.approx(np.linalg.norm(b), rel=1e-14)
+
+
+@pytest.mark.parametrize("d", [1, 4, 64, 1000])
+def test_diagonal_gaussian_norms_equal_dense_identity(d):
+    seed = RngSeed(709).derive(d)
+    want = concentration._norms(gaussian_generator(np.eye(d)), 2000, seed)
+    got = concentration._norms(gaussian_generator(np.ones(d)), 2000, seed)
+    assert np.array_equal(got, want)
+    # general variances: the dense root comes from eigh, so the last
+    # places may differ
+    var = RngSeed(709).generator().uniform(0.01, 10.0, d)
+    want = concentration._norms(gaussian_generator(np.diag(var)), 2000, seed)
+    got = concentration._norms(gaussian_generator(var), 2000, seed)
+    assert np.allclose(got, want, rtol=1e-14, atol=0.0)
+
+
+def _same_mgf_report(a, b):
+    return (a.passed == b.passed and a.worst_margin == b.worst_margin
+            and all(np.array_equal(getattr(a, f), getattr(b, f))
+                    for f in ("lambdas", "empirical", "std_err", "envelope")))
+
+
+def test_diagonal_claims_match_dense_claims():
+    # unit entries: equal to the bit.  General entries: trace, top
+    # eigenvalue and the MGF check are equal to the bit; ||C||_2 (an SVD)
+    # and ||C||_F (a BLAS dot over the whole matrix) may differ in the
+    # last two places, so the bounds carry a relative tolerance of 1e-15
+    gen = RngSeed(710).generator()
+    for d in (1, 4, 64, 1000):
+        for sigma, c, rel in ((np.ones(d), 0.0, 0.0),
+                              (2.0 * np.ones(d), 2.0 * np.ones(d), 0.0),
+                              (gen.uniform(0.01, 10.0, d), 0.0, 1e-15),
+                              (gen.uniform(0.01, 10.0, d),
+                               gen.uniform(0.0, 5.0, d), 1e-15)):
+            diag = SubgammaSpec(sigma, c)
+            dense = SubgammaSpec(np.diag(sigma), np.diag(diag.c))
+            assert diag.trace_sigma == dense.trace_sigma
+            assert diag.sigma_norm == dense.sigma_norm
+            for delta in (0.2, 0.01):
+                assert norm_bound(diag, delta) == pytest.approx(
+                    norm_bound(dense, delta), rel=rel, abs=0.0)
+                assert gaussian_tail(sigma, delta) == gaussian_tail(
+                    np.diag(sigma), delta)
+            for t in (0.5, 5.0, 50.0):
+                assert tail_bound(diag, t) == pytest.approx(
+                    tail_bound(dense, t), rel=rel, abs=0.0)
+    # the grid is admissible for all three claims (the tightest cap,
+    # 1/||Cv|| of the first, is 0.297)
+    s, v = np.array([0.5, 1.0, 2.0]), np.array([0.3, -0.5, 0.8])
+    grid = [-0.25, 0.1, 0.25]
+    for vg in (exponential_generator(s), gaussian_generator(s * s),
+               exponential_generator(np.ones(3))):
+        spec = vg.claimed
+        dense = dataclasses.replace(
+            vg, claimed=SubgammaSpec(np.diag(spec.sigma), np.diag(spec.c)))
+        assert _same_mgf_report(mgf_check(vg, v, grid, 100_000, RngSeed(711)),
+                                mgf_check(dense, v, grid, 100_000, RngSeed(711)))
+
+
 # -- samplers and their claims -----------------------------------------------------
 
 
@@ -203,8 +299,8 @@ def test_generator_draw_shapes_and_determinism():
     a = gen.draw(100, RngSeed(5))
     b = gen.draw(100, RngSeed(5))
     assert a.shape == (100, 2) and np.array_equal(a, b)
-    assert np.array_equal(gen.claimed.sigma, np.diag([2.0, 8.0]))
-    assert np.array_equal(gen.claimed.c, np.diag([2.0, 4.0]))
+    assert np.array_equal(gen.claimed.sigma, [2.0, 8.0])
+    assert np.array_equal(gen.claimed.c, [2.0, 4.0])
     with pytest.raises(PreconditionError):
         exponential_generator(np.array([1.0, -1.0]))
     with pytest.raises(PreconditionError):
@@ -279,7 +375,7 @@ def test_score_vector_generator_centered_and_claimed():
     draws = gen.draw(100_000, RngSeed(21))
     se = draws.std(axis=0, ddof=1) / math.sqrt(draws.shape[0])
     assert np.all(np.abs(draws.mean(axis=0)) < 4 * se)
-    cap = 1.0 / gen.claimed.c[0, 0]
+    cap = 1.0 / gen.claimed.c[0]
     rep = mgf_check(gen, np.array([1.0, 0.0, 0.0, 0.0]),
                     [-cap, -0.5 * cap, 0.5 * cap, cap], 100_000, RngSeed(22))
     assert rep.passed

@@ -4,6 +4,7 @@ import math
 import re
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -509,6 +510,34 @@ def test_concentration_frozen_reference():
         assert t.to_csv() == FROZEN_CONCENTRATION
 
 
+def test_concentration_at_d_65537_holds_no_d_by_d_matrix():
+    # with dense unit claims this grid asked for a 32 GiB identity
+    tracemalloc.start()
+    try:
+        t = run_concentration(("gaussian", "exponential", "rademacher"),
+                              (1, 3, 65537), (0.1,), 100, seed=5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20
+    log_term = math.log(2.0 / 0.1)
+    for fam, d, delta, trials, q, bound, baseline, seed in t.rows:
+        if fam == "exponential":  # Sigma = 2I, C = 2I
+            want = (math.sqrt(2 * d) + 4 * math.sqrt(2 * log_term)
+                    + 32 * log_term
+                    + min(8 * math.sqrt(d * log_term),
+                          32 * d / math.sqrt(2 * d) * log_term))
+            gauss = math.sqrt(2 * d) + math.sqrt(4 * math.log(10.0))
+        else:  # Sigma = I, C = 0
+            want = math.sqrt(d) + 4 * math.sqrt(log_term)
+            gauss = math.sqrt(d) + math.sqrt(2 * math.log(10.0))
+        assert bound == pytest.approx(want, rel=1e-14)
+        assert baseline == pytest.approx(gauss, rel=1e-14)
+        assert q <= bound and trials == 100 and seed == 5
+        if fam == "rademacher":
+            assert q == math.sqrt(d)
+
+
 def test_concentration_unknown_family():
     with pytest.raises(ConfigurationError, match="unknown family"):
         run_concentration(("gauss",), (4,), (0.1,), 1000, 1)
@@ -649,6 +678,25 @@ def test_cli_rejects_non_finite_lambda_true(args):
     res = run_cli(*args, "--n", "1000", "--delta", "0.1", "--seed", "1")
     assert res.returncode == 2
     assert res.stderr.startswith("error: --lambda-true must be finite")
+
+
+def test_shift_past_float_resolution_is_rejected():
+    # at 8e307, lambda + draw rounded every draw away: abs_err read 0 and
+    # the sample-mean baseline inf
+    with pytest.raises(PreconditionError,
+                       match=r"^lambda-scale = 8e\+307 is too large for this model"):
+        run_coverage("laplace(0,1)", 1000, 2, 0.1, 1, lambda_scale=8e307)
+    # a product is held to its narrowest component: laplace(0,1) alone
+    # takes 1e7 (spacing 1.9e-9 against 1e-6 of its IQR 1.39)
+    narrow = "product(laplace(0,1),gaussian(0,0.001))"
+    with pytest.raises(PreconditionError, match="^lambda-scale = 1e\\+07 is too"):
+        run_coverage_hd(narrow, 200, 2, 0.1, 0.0005, 1, lambda_scale=1e7)
+    t = run_coverage("laplace(0,1)", 1000, 2, 0.1, 1, lambda_scale=1e7)
+    assert all(r[-1] == "" and r[3] > 0.0 for r in t.rows[:-1])
+    res = run_cli("estimate", "--model", "laplace(0,1)", "--lambda-true",
+                  "1.79e308", "--n", "1000", "--delta", "0.1", "--seed", "1")
+    assert res.returncode == 2
+    assert res.stderr.startswith("error: --lambda-true = 1.79e+308 is too large")
 
 
 @pytest.mark.parametrize("experiment,line", [
