@@ -9,7 +9,9 @@ r* = c * (log(2/delta)/n)^{1/8} * IQR unless overridden.
 The two stages never share samples: the Newton-step analysis needs the
 score evaluations to be independent of the initializer.  A block of
 trials is a (B, n) stack, one row and noise stream per trial, that
-global_mle_1d_rows runs at once; global_mle_1d is its B = 1 case.
+global_mle_1d_rows runs in one call; global_mle_1d is its B = 1 case.
+The Newton step streams each row: it draws the row's noise, perturbs
+and scores it slice by slice, and averages the scores of the whole row.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from .errors import (
     TailUnderflowError,
     require_finite_samples,
 )
-from .models import Density1d
+from .models import _LOOKUP_BLOCK, Density1d
 from .rng import RngSeed
 from .smoothing import SmoothedModel1d, fisher_1d, smoothed_score_1d
 
@@ -84,16 +86,30 @@ class EstimateReport:
 
 def _local_step(engine: SmoothedModel1d, x: np.ndarray, lambda1: float,
                 seed: RngSeed) -> float:
-    """local_mle_1d on checked samples, with the engine of its radius."""
-    perturbed = x + engine.r * seed.generator().standard_normal(x.shape)
+    """local_mle_1d on checked samples, with the engine of its radius.
+
+    The row is perturbed and scored in _LOOKUP_BLOCK slices, each slice's
+    noise drawn from the one stream in turn.  That gives the bits of the
+    whole row perturbed and scored at once, with temporaries one slice
+    long.
+    """
+    gen = seed.generator()
+    scores = np.empty(x.shape)
     try:
-        score_mean = float(np.mean(smoothed_score_1d(engine, perturbed - lambda1)))
+        for start in range(0, x.size, _LOOKUP_BLOCK):
+            sl = slice(start, start + _LOOKUP_BLOCK)
+            # x + r * noise - lambda1, in place
+            pts = gen.standard_normal(x[sl].shape)
+            pts *= engine.r
+            pts += x[sl]
+            pts -= lambda1
+            scores[sl] = smoothed_score_1d(engine, pts)
     except TailUnderflowError as exc:
         raise EstimationError(
             f"smoothed score underflowed at perturbed sample {exc.x} "
             f"(r={engine.r}, lambda1={lambda1}); initialization is likely far off"
         ) from exc
-    return lambda1 - score_mean / fisher_1d(engine)
+    return lambda1 - float(np.mean(scores)) / fisher_1d(engine)
 
 
 def local_mle_1d(base: Density1d, r: float, samples, lambda1: float,

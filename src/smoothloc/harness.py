@@ -303,6 +303,14 @@ def _run_blocks(estimate_rows, base, cfg, n: int, seeds, lambda_scale: float,
     return [r for rows in blocks for r in rows]
 
 
+def _require_count(name: str, value) -> int:
+    """A trial count or sample size as an int, rejected by name below 1."""
+    count = int(value)
+    if count < 1:
+        raise PreconditionError(f"{name} must be >= 1, got {value}")
+    return count
+
+
 def _tally(rows):
     """Error-free rows (empty note) and the summary note of a coverage run.
 
@@ -345,6 +353,7 @@ def run_coverage(model_spec: str, n: int, trials: int, delta: float,
     become error rows; the trailing summary row reports the failure
     rate with errors counted against coverage.
     """
+    n, trials = _require_count("n", n), _require_count("trials", trials)
     base = parse_model(model_spec)
     if not isinstance(base, Density1d):
         raise PreconditionError("coverage needs a one-dimensional model")
@@ -361,8 +370,8 @@ def run_coverage(model_spec: str, n: int, trials: int, delta: float,
         return (t, lam, rep.lambda_hat, abs_err, baseline,
                 rep.theoretical_radius, int(within), "")
 
-    rows = _run_blocks(global_mle_1d_rows, base, cfg, int(n),
-                       [root.derive(t) for t in range(int(trials))],
+    rows = _run_blocks(global_mle_1d_rows, base, cfg, n,
+                       [root.derive(t) for t in range(trials)],
                        lambda_scale, threads, row)
     ok, note = _tally(rows)
     rows.append(("summary", None, None,
@@ -384,6 +393,7 @@ def run_coverage_hd(model_spec: str, n: int, trials: int, delta: float,
 
     A failed trial's error is its row's note.
     """
+    n, trials = _require_count("n", n), _require_count("trials", trials)
     base = parse_model(model_spec)
     if not isinstance(base, ProductDensity):
         raise PreconditionError("coverage-hd needs a product model")
@@ -398,8 +408,8 @@ def run_coverage_hd(model_spec: str, n: int, trials: int, delta: float,
         within = err <= rep.m_norm_error_bound
         return (t, err, rep.m_norm_error_bound, int(within), "")
 
-    rows = _run_blocks(global_mle_hd_rows, base, cfg, int(n),
-                       [root.derive(t) for t in range(int(trials))],
+    rows = _run_blocks(global_mle_hd_rows, base, cfg, n,
+                       [root.derive(t) for t in range(trials)],
                        lambda_scale, threads, row, base.dim)
     ok, note = _tally(rows)
     rows.append(("summary",
@@ -423,6 +433,8 @@ def run_sawtooth_phase(w: float, slope: float, n_grid, trials: int,
     the phase-transition direction, the sqrt(n_local) column is the
     schedule-free control normalization.
     """
+    trials = _require_count("trials", trials)
+    n_grid = [_require_count("n_grid entry", v) for v in n_grid]
     base = GaussianSawtooth(float(w), float(slope))
     cfg = Config1d(delta=float(delta), min_n_factor=float(min_n_factor))
     root = RngSeed(int(seed))
@@ -431,21 +443,21 @@ def run_sawtooth_phase(w: float, slope: float, n_grid, trials: int,
     def row(t: int, lam, x, rep):
         return rep if isinstance(rep, str) else (abs(rep.lambda_hat - lam), rep)
 
-    for i_n, n in enumerate(int(v) for v in n_grid):
+    for i_n, n in enumerate(n_grid):
         results = _run_blocks(global_mle_1d_rows, base, cfg, n,
-                              [root.derive(i_n, t) for t in range(int(trials))],
+                              [root.derive(i_n, t) for t in range(trials)],
                               lambda_scale, threads, row)
         ok = [r for r in results if not isinstance(r, str)]
         n_errors = len(results) - len(ok)
         if not ok:
             rows.append((n, None, None, None, None, None, None,
-                         int(trials), n_errors))
+                         trials, n_errors))
             continue
         med = float(np.median([a for a, _ in ok]))
         rep = ok[0][1]
         rows.append((n, med * math.sqrt(n), rep.r_used, rep.fisher_at_r,
                      med, med * math.sqrt(rep.n_used_local),
-                     rep.n_used_local, int(trials), n_errors))
+                     rep.n_used_local, trials, n_errors))
     return _table(("n", "med_sqrt_n", "r_star", "fisher_at_r",
                    "median_abs_err", "med_sqrt_n_local", "n_local",
                    "trials", "errors"), rows)

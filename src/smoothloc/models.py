@@ -396,15 +396,22 @@ class GaussianSawtooth(Density1d):
     def _draw(self, gen, n):
         # Rejection from the Gaussian envelope m_env * phi.  The batch size
         # depends only on the remaining count, so the candidate stream, and
-        # with it the accepted draws, is reproducible.  The test
+        # with it the accepted draws, is reproducible.  A round draws its
+        # batch of normals in one call; the batch's uniforms follow them in
+        # the stream, one 64-bit word each, so they are drawn block by
+        # block as each block is tested and are the numbers one call for
+        # the whole batch would give.  Once n are accepted the words of the
+        # round's untested uniforms are skipped, not converted, so the
+        # generator ends where the whole batch would leave it (a product
+        # draws its next component from it).  The test
         # u * m_env * phi(y) <= phi(y) + fl(w*slope * tri(y/w)) is decided
-        # block by block, and stops once n are accepted.  |tri| <= 1/2 and
-        # rounding is monotone, so every ripple term lies in [-amp, amp] and
-        # the right side rounds into [fl(phi - amp), fl(phi + amp)]: a left
-        # side at or below the low end passes and one above the high end
-        # fails whatever the ripple.  Only the band between, inside the
-        # ripple's support, needs the ripple; every decision, and so every
-        # draw, is the one the full test makes.
+        # per block.  |tri| <= 1/2 and rounding is monotone, so every ripple
+        # term lies in [-amp, amp] and the right side rounds into
+        # [fl(phi - amp), fl(phi + amp)]: a left side at or below the low
+        # end passes and one above the high end fails whatever the ripple.
+        # Only the band between, inside the ripple's support, needs the
+        # ripple; every decision, and so every draw, is the one the full
+        # test makes.
         ws = self.w * self.slope
         amp = 0.5 * ws
         m_env = 1.0 + amp / float(_phi(1.0))
@@ -414,20 +421,29 @@ class GaussianSawtooth(Density1d):
         while k < n:
             batch = max(1024, int(1.2 * (n - k) * m_env) + 1)
             y_batch = gen.standard_normal(batch)
-            u_batch = gen.random(batch)
             for start in range(0, batch, _LOOKUP_BLOCK):
                 y = y_batch[start : start + _LOOKUP_BLOCK]
-                p = _phi(y)
-                lhs = u_batch[start : start + _LOOKUP_BLOCK] * m_env * p
+                # phi(y) and u * m_env * phi(y), in place, in _phi's order
+                p = np.square(y)
+                p *= -0.5
+                np.exp(p, out=p)
+                p /= _SQRT2PI
+                lhs = gen.random(y.size)
+                lhs *= m_env
+                lhs *= p
                 keep = lhs <= p
-                band = np.flatnonzero((lhs > p - amp) & (lhs <= p + amp))
-                band = band[np.abs(y[band]) <= edge]
+                in_band = lhs > p - amp
+                in_band &= lhs <= p + amp
+                in_band &= np.abs(y) <= edge
+                band = np.flatnonzero(in_band)
                 keep[band] = lhs[band] <= p[band] + ws * _tri_wave(y[band] / self.w)
-                accepted = y[keep]
+                accepted = y[np.flatnonzero(keep)]
                 take = min(n - k, accepted.shape[0])
                 out[k : k + take] = accepted[:take]
                 k += take
                 if k == n:
+                    gen.bit_generator.random_raw(batch - start - y.size,
+                                                 output=False)
                     break
         return out
 
@@ -516,9 +532,10 @@ class _RippleGrid:
         h10 = self.h * f * g * g
         h11 = -self.h * f * f * g
         j = i + 1
+        slope_i, slope_j = self.slope[i], self.slope[j]
         ripple = (h00 * self.value[i] + h01 * self.value[j]
-                  + h10 * self.slope[i] + h11 * self.slope[j])
-        ripple_slope = (h00 * self.slope[i] + h01 * self.slope[j]
+                  + h10 * slope_i + h11 * slope_j)
+        ripple_slope = (h00 * slope_i + h01 * slope_j
                         + h10 * self.curvature[i] + h11 * self.curvature[j])
         return ripple, ripple_slope
 

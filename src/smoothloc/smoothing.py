@@ -11,10 +11,12 @@ with variance sigma^2 + r^2, Laplace becomes the normal-Laplace density
 (one erfc and one erfcx per point), and the sawtooth is N(0, 1 + r^2)
 plus its smoothed ripple, read from a cached grid of exact values and
 derivatives.  Pointwise evaluation takes that one path for every batch
-size.  Integrals over x (Fisher information, expected shifted scores)
-use composite Gauss-Legendre panels whose edges sit on every kink of
-the base density and at geometric multiples of r around it, where f_r
-changes on the scale r.
+size, and each point's value depends on that point alone: a long row
+scored in slices (as the 1-d local step scores its row) gives the bits
+of the whole row scored at once.  Integrals over x (Fisher information,
+expected shifted scores) use composite Gauss-Legendre panels whose
+edges sit on every kink of the base density and at geometric multiples
+of r around it, where f_r changes on the scale r.
 
 High-d smoothing uses R = r^2*I on product bases, so everything reduces
 exactly to per-coordinate 1-d evaluations.

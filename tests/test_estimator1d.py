@@ -20,8 +20,10 @@ from smoothloc import (
     local_mle_1d,
     parse_model,
     quantile_initial_estimate,
+    smoothed_score_1d,
     SmoothedModel1d,
 )
+from smoothloc import estimator1d
 from smoothloc.estimator1d import _quantile_rows, global_mle_1d_rows
 
 LOG20 = math.log(20.0)
@@ -75,6 +77,29 @@ def test_local_step_validation():
 def test_local_step_underflow_reports_bad_init():
     with pytest.raises(EstimationError, match="underflowed"):
         local_mle_1d(Laplace(0, 1), 0.1, [1000.0, 1000.5], 0.0, RngSeed(3))
+
+
+def test_streamed_local_step_is_the_whole_row_step(monkeypatch):
+    # in one slice and in 1000-point slices: the noise, scores and mean of
+    # the whole row scored at once, and, when the only far point lies in
+    # the third slice, the same error naming the same point
+    base, r, lam1, seed = Laplace(0, 1), 0.3, 0.2, RngSeed(31)
+    engine = SmoothedModel1d(base, r)
+    x = base.sample(2500, RngSeed(30))
+    noise = seed.generator().standard_normal(x.shape)
+    score = smoothed_score_1d(engine, x + r * noise - lam1)
+    whole = lam1 - float(np.mean(score)) / fisher_1d(engine)
+    far = x.copy()
+    far[2300] = 1e4
+    point = float(far[2300] + r * noise[2300] - lam1)
+    for block in (1 << 16, 1000):
+        monkeypatch.setattr(estimator1d, "_LOOKUP_BLOCK", block)
+        assert local_mle_1d(base, r, x, lam1, seed) == whole
+        with pytest.raises(EstimationError) as err:
+            local_mle_1d(base, r, far, lam1, seed)
+        assert str(err.value) == (
+            f"smoothed score underflowed at perturbed sample {point} "
+            f"(r=0.3, lambda1=0.2); initialization is likely far off")
 
 
 # -- initialization stage -----------------------------------------------------

@@ -326,6 +326,17 @@ def test_1d_frozen_reference(case, monkeypatch):
             assert run(threads=threads, **kw).to_csv() == text
 
 
+@pytest.mark.parametrize("case", range(len(FROZEN_1D)))
+def test_1d_frozen_reference_in_small_local_slices(case, monkeypatch):
+    # 1000-point slices split every local row, the laplace n = 10^4 rows
+    # and the sawtooth n = 10^5 rows (64 710 points) among them
+    import smoothloc.estimator1d as estimator1d
+
+    monkeypatch.setattr(estimator1d, "_LOOKUP_BLOCK", 1000)
+    run, kw, text = FROZEN_1D[case]
+    assert run(threads=1, **kw).to_csv() == text
+
+
 def test_coverage_hd_thread_invariance_and_reconcile():
     kw = dict(n=120, trials=8, delta=0.1, r=1.0, seed=3)
     a = run_coverage_hd("product(gaussian(0,1)^8)", threads=1, **kw)
@@ -678,6 +689,27 @@ def test_cli_rejects_non_finite_lambda_true(args):
     res = run_cli(*args, "--n", "1000", "--delta", "0.1", "--seed", "1")
     assert res.returncode == 2
     assert res.stderr.startswith("error: --lambda-true must be finite")
+
+
+# trials = 0 divided by zero in the coverage tally and gave a sawtooth
+# cell with no estimate; n = -5 reached numpy's "negative dimensions"
+@pytest.mark.parametrize("run,kw,msg", [
+    (run_coverage, dict(model_spec="laplace(0,1)", n=1000, trials=0),
+     "trials must be >= 1, got 0"),
+    (run_coverage, dict(model_spec="laplace(0,1)", n=-5, trials=2),
+     "n must be >= 1, got -5"),
+    (run_coverage_hd, dict(model_spec="product(laplace(0,1)^2)", n=200,
+                           trials=0, r=0.5), "trials must be >= 1, got 0"),
+    (run_coverage_hd, dict(model_spec="product(laplace(0,1)^2)", n=0,
+                           trials=2, r=0.5), "n must be >= 1, got 0"),
+    (run_sawtooth_phase, dict(w=0.05, slope=4.0, n_grid=(1000,), trials=0),
+     "trials must be >= 1, got 0"),
+    (run_sawtooth_phase, dict(w=0.05, slope=4.0, n_grid=(1000, 0), trials=2),
+     "n_grid entry must be >= 1, got 0"),
+])
+def test_runs_reject_empty_sizes_by_name(run, kw, msg):
+    with pytest.raises(PreconditionError, match=f"^{re.escape(msg)}$"):
+        run(delta=0.1, seed=1, **kw)
 
 
 def test_shift_past_float_resolution_is_rejected():

@@ -19,6 +19,7 @@ from smoothloc import (
     format_model,
     parse_model,
 )
+from smoothloc import models
 from smoothloc.models import _tri_wave
 
 SAW = GaussianSawtooth(0.05, 4.0)
@@ -154,9 +155,11 @@ def test_sampler_fidelity_ks(model):
         assert res.statistic < 0.01
 
 
-# The sawtooth sampler decides its rejection test blockwise and skips the
+# The sawtooth sampler draws its uniforms block by block behind each
+# round's normals, decides its rejection test per block, and skips the
 # ripple where it cannot change the outcome.  These pin its draws, bit for
-# bit, to the plain loop that evaluates the full pdf on every candidate.
+# bit, to the plain loop that draws each round's normals and then all its
+# uniforms in two calls and evaluates the full pdf on every candidate.
 
 
 def _reference_tri_wave(t):
@@ -200,6 +203,31 @@ def test_sawtooth_draws_match_reference_loop(w, slope):
         got = model.sample(n, RngSeed(seed, 7))
         want = _reference_sawtooth_draw(model, RngSeed(seed, 7).generator(), n)
         assert np.array_equal(got, want), (w, slope, n)
+
+
+# blocks of 1000 and 1 uniforms: a block boundary inside and at the end of
+# every round.  Each generator must also be left where the reference
+# leaves it, the round's untested uniforms skipped (at n = 1000 the round
+# stops inside its short last block), since a product draws its next
+# component from it.
+@pytest.mark.parametrize("block,sizes", [(1000, (1, 1000, 200_001)),
+                                         (1, (1, 1000, 3000))])
+def test_sawtooth_draws_match_reference_loop_at_small_blocks(block, sizes,
+                                                             monkeypatch):
+    monkeypatch.setattr(models, "_LOOKUP_BLOCK", block)
+    for w, slope in ((0.05, 4.0), (0.01, 20.0), (0.5, 0.8)):
+        model = GaussianSawtooth(w, slope)
+        for n in sizes:
+            gen, ref_gen = RngSeed(n, 8).generator(), RngSeed(n, 8).generator()
+            got = model._draw(gen, n)
+            want = _reference_sawtooth_draw(model, ref_gen, n)
+            assert np.array_equal(got, want), (block, w, slope, n)
+            assert (gen.bit_generator.random_raw()
+                    == ref_gen.bit_generator.random_raw()), (block, w, slope, n)
+    got = ProductDensity((SAW, Gaussian(0.0, 1.0))).sample(1000, RngSeed(12))
+    gen = RngSeed(12).generator()
+    first = _reference_sawtooth_draw(SAW, gen, 1000)
+    assert np.array_equal(got, np.column_stack([first, gen.standard_normal(1000)]))
 
 
 def test_tri_wave_floor_form_matches_mod_form_bitwise():
