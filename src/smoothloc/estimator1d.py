@@ -163,11 +163,19 @@ def choose_alpha(base: Density1d, q: float,
     return float(best.min())
 
 
+@lru_cache(maxsize=None)
+def _model_quantile(base: Density1d, alpha: float) -> float:
+    # cached per (base, alpha), as choose_alpha is: a bisection for some
+    # families, asked again by every block of a run
+    return base.quantile(alpha)
+
+
 def _quantile_rows(base: Density1d, x: np.ndarray, alpha: float) -> np.ndarray:
     """quantile_initial_estimate on each row of a (B, m) stack."""
     m = x.shape[1]
     idx = min(max(int(math.ceil(alpha * m)), 1), m)
-    return np.partition(x, idx - 1, axis=1)[:, idx - 1] - base.quantile(alpha)
+    return (np.partition(x, idx - 1, axis=1)[:, idx - 1]
+            - _model_quantile(base, alpha))
 
 
 def quantile_initial_estimate(base: Density1d, samples_init, alpha: float) -> float:

@@ -146,6 +146,7 @@ _COMMON_KEYS = {"experiment": "str", "seed": "int", "threads": "int"}
 # Light range screening at parse time; the target modules stay
 # authoritative and re-check on use.
 _RANGE_CHECKS: Mapping[str, Callable[[object], bool]] = {
+    "seed": lambda v: 0 <= v < 2**64,
     "n": lambda v: v >= 1,
     "trials": lambda v: v >= 1,
     "threads": lambda v: v >= 1,

@@ -107,8 +107,7 @@ class Density1d:
         return self._draw(seed.generator(), int(n))
 
     def iqr(self) -> float:
-        q = self._quantile(np.array([0.25, 0.75]))
-        return float(q[1] - q[0])
+        return _iqr(self)
 
     def quadrature_extent(self):
         """(lo_center, hi_center, sigma_max) for truncated integrals.
@@ -117,6 +116,13 @@ class Density1d:
         Gaussian/Laplace tail outside [lo - k*sigma, hi + k*sigma].
         """
         raise NotImplementedError
+
+
+@lru_cache(maxsize=None)
+def _iqr(model: Density1d) -> float:
+    # cached per model: the sawtooth's quartiles are a 60-step bisection
+    q = model._quantile(np.array([0.25, 0.75]))
+    return float(q[1] - q[0])
 
 
 def _bisect_cdf(cdf, p, lo, hi, tol=1e-10):
@@ -501,9 +507,12 @@ class GaussianSawtooth(Density1d):
 # beyond |t_j| = _RIPPLE_REACH (g(-12) < 1e-33): no cancellation between the
 # large linear parts.  Evaluating it per point costs one term per
 # breakpoint (42 at w = 0.05), so it is tabulated once per (w, slope, r) on
-# a uniform grid with exact first and second derivatives, and read back by
-# cubic Hermite interpolation of R and of R'.  At spacing r/128 the score
-# error is about 1e-11, independent of r.
+# a uniform grid with exact first and second derivatives.  Each cell holds
+# the monomial coefficients, in the cell fraction, of the cubic Hermite
+# interpolants of R and of R' (8 float64 per grid point, 64 MiB at
+# _RIPPLE_MAX_POINTS), and a lookup is one cell index, one fraction and two
+# Horner cubics.  At spacing r/128 the score error is about 1e-11,
+# independent of r.
 _RIPPLE_REACH = 12.0
 _RIPPLE_POINTS_PER_R = 128
 _RIPPLE_MAX_POINTS = 1 << 20
@@ -514,30 +523,44 @@ _LOOKUP_BLOCK = 1 << 16
 class _RippleGrid:
     lo: float
     h: float
-    value: np.ndarray
-    slope: np.ndarray
-    curvature: np.ndarray
+    ripple: np.ndarray  # (4, cells): R = sum_k ripple[k, i] * f^k in cell i
+    ripple_slope: np.ndarray  # (4, cells): the same for R'
 
     def lookup(self, u):
-        """(R(u), R'(u)); points outside the grid read its zero end points."""
-        last = self.value.size - 1
-        # fmin/fmax send NaN to the zero end point; the Gaussian part
-        # keeps the NaN
-        s = np.fmin(np.fmax((u - self.lo) / self.h, 0.0), last)
-        i = np.minimum(s.astype(np.intp), last - 1)
-        f = s - i
-        g = 1.0 - f
-        h00 = (1.0 + 2.0 * f) * g * g
-        h01 = 1.0 - h00
-        h10 = self.h * f * g * g
-        h11 = -self.h * f * f * g
-        j = i + 1
-        slope_i, slope_j = self.slope[i], self.slope[j]
-        ripple = (h00 * self.value[i] + h01 * self.value[j]
-                  + h10 * slope_i + h11 * slope_j)
-        ripple_slope = (h00 * slope_i + h01 * slope_j
-                        + h10 * self.curvature[i] + h11 * self.curvature[j])
-        return ripple, ripple_slope
+        """(R(u), R'(u)); points outside the grid read exact zeros."""
+        last = self.ripple.shape[1] - 1
+        # points before the grid, and NaN (which fmin/fmax send there), read
+        # the zero first node; the Gaussian part keeps the NaN
+        f = u - self.lo
+        f /= self.h
+        np.fmax(f, 0.0, out=f)
+        np.fmin(f, last, out=f)
+        i = f.astype(np.intp)
+        f -= i
+        return _horner(self.ripple, i, f), _horner(self.ripple_slope, i, f)
+
+
+def _horner(coef, i, f):
+    out = coef[3][i]
+    for k in (2, 1, 0):
+        out *= f
+        out += coef[k][i]
+    return out
+
+
+def _hermite_cells(value, slope, h):
+    # (4, count) monomial coefficients in f = (x - x_i)/h of the cubic
+    # matching value and slope at both ends of each cell [x_i, x_i+1];
+    # the last cell, past the grid's end, is all zeros
+    rise = np.diff(value)
+    step_i = h * slope[:-1]
+    step_j = h * slope[1:]
+    coef = np.zeros((4, value.size))
+    coef[0, :-1] = value[:-1]
+    coef[1, :-1] = step_i
+    coef[2, :-1] = 3.0 * rise - 2.0 * step_i - step_j
+    coef[3, :-1] = step_i + step_j - 2.0 * rise
+    return coef
 
 
 @lru_cache(maxsize=8)
@@ -570,10 +593,12 @@ def _ripple_grid(w: float, slope: float, r: float) -> _RippleGrid:
         slope_at[sl] += jump * np.where(t > 0.0, -tail, tail)
         curvature[sl] += jump * dens / r
     # the terms left at the end points are below 1e-31; exact zeros make
-    # every point beyond the grid read R = R' = 0
+    # every point before the grid read R = R' = 0, and the zero cell past
+    # the end every point after it
     for arr in (value, slope_at, curvature):
         arr[[0, -1]] = 0.0
-    return _RippleGrid(float(lo), h, value, slope_at, curvature)
+    return _RippleGrid(float(lo), h, _hermite_cells(value, slope_at, h),
+                       _hermite_cells(slope_at, curvature, h))
 
 
 @dataclass(frozen=True)

@@ -17,6 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
 
+from .errors import PreconditionError
+
 _UINT64 = (1 << 64) - 1
 
 
@@ -44,7 +46,8 @@ class RngSeed(ISeedSequence):
         for name in ("seed", "stream"):
             v = getattr(self, name)
             if not isinstance(v, (int, np.integer)) or not 0 <= int(v) <= _UINT64:
-                raise ValueError(f"{name} must be an integer in [0, 2^64)")
+                raise PreconditionError(
+                    f"{name} must be an integer in [0, 2^64), got {v!r}")
             object.__setattr__(self, name, int(v))
 
     def derive(self, *indices: int) -> "RngSeed":
@@ -56,7 +59,7 @@ class RngSeed(ISeedSequence):
         s = self.stream
         for ix in indices:
             if ix < 0:
-                raise ValueError("derive indices must be non-negative")
+                raise PreconditionError("derive indices must be non-negative")
             s = _splitmix64(s ^ _splitmix64(int(ix) + 1))
         return RngSeed(self.seed, s)
 

@@ -5,7 +5,16 @@ line per criterion in the terminal summary, with any measured numbers
 the test chose to record.
 """
 
+import os
+from pathlib import Path
+
 import pytest
+
+# pyproject's `pythonpath` puts src on this process's path; the CLI tests
+# run `python -m smoothloc` in a child, which needs it in the environment
+os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, (
+    str(Path(__file__).resolve().parents[1] / "src"),
+    os.environ.get("PYTHONPATH"))))
 
 # acceptance test function -> printable label, in report order
 CRITERIA = {

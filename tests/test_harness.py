@@ -712,6 +712,62 @@ def test_runs_reject_empty_sizes_by_name(run, kw, msg):
         run(delta=0.1, seed=1, **kw)
 
 
+@pytest.mark.parametrize("args", [
+    ("estimate", "--model", "laplace(0,1)", "--seed", "-1"),
+    ("estimate", "--model", "laplace(0,1)", "--seed", str(2**64)),
+    ("estimate-hd", "--model", "product(laplace(0,1)^2)", "--r", "0.5",
+     "--eta", "0.25", "--seed", "-1"),
+], ids=["estimate-negative", "estimate-2^64", "estimate-hd-negative"])
+def test_cli_rejects_out_of_range_seed(args):
+    # RngSeed raised a bare ValueError: a traceback, not exit code 2
+    res = run_cli(*args, "--n", "1000", "--delta", "0.1")
+    assert res.returncode == 2
+    assert res.stderr == (f"error: seed must be an integer in [0, 2^64), "
+                          f"got {args[-1]}\n")
+
+
+def test_cli_bench_rejects_out_of_range_seed(tmp_path):
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text("experiment = coverage\nmodel = laplace(0,1)\nn = 1000\n"
+                   "trials = 2\ndelta = 0.1\nseed = -5\n")
+    out = tmp_path / "o.csv"
+    res = run_cli("bench", "coverage", "--config", str(cfg), "--out", str(out))
+    assert res.returncode == 2
+    assert res.stderr == "error: key 'seed' out of range: -5\n"
+    assert not out.exists()
+    with pytest.raises(PreconditionError, match=r"^seed must be an integer"):
+        RngSeed(2**64)
+
+
+def test_model_constants_computed_once_per_run(monkeypatch):
+    # the quartiles behind r* and the model alpha-quantile of the init
+    # stage were bisected again by every block (2 per block + 1)
+    import smoothloc.estimator1d as estimator1d
+    import smoothloc.harness as harness
+    import smoothloc.models as models
+
+    saw = models.GaussianSawtooth(0.05, 4.0)
+    q = models._bisect_cdf(saw._cdf, np.array([0.25, 0.75]), *saw._bracket())
+    assert saw.iqr() == q[1] - q[0]
+    models._iqr.cache_clear()
+    estimator1d._model_quantile.cache_clear()
+    calls = []
+    bisect = models._bisect_cdf
+
+    def counting(cdf, p, lo, hi, **kw):
+        calls.append(np.asarray(p, dtype=float))
+        return bisect(cdf, p, lo, hi, **kw)
+
+    monkeypatch.setattr(models, "_bisect_cdf", counting)
+    monkeypatch.setattr(harness, "_BLOCK_TRIALS", 1)
+    t = run_sawtooth_phase(0.05, 4.0, (2000,), trials=3, delta=0.1, seed=1)
+    assert t.rows[0][-1] == 0  # no errors
+    quartiles = [p for p in calls if p.tolist() == [0.25, 0.75]]
+    alpha_quantiles = [p for p in calls if p.ndim == 0]
+    assert len(quartiles) == 1 and len(alpha_quantiles) == 1
+    assert saw.iqr() == q[1] - q[0]
+
+
 def test_shift_past_float_resolution_is_rejected():
     # at 8e307, lambda + draw rounded every draw away: abs_err read 0 and
     # the sample-mean baseline inf

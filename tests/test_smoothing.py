@@ -163,6 +163,61 @@ def test_sawtooth_score_against_quad_oracle(base, r, xs):
     assert np.max(np.abs(got[idx] - want)) < 1e-8
 
 
+def hermite_ripple(grid, curvature, u):
+    """(R, R') by the cubic Hermite basis on the grid nodes, u inside."""
+    # node values are the cells' constant terms, exact as tabulated
+    value, slope = grid.ripple[0], grid.ripple_slope[0]
+    s = (u - grid.lo) / grid.h
+    i = np.minimum(s.astype(np.intp), value.size - 2)
+    f = s - i
+    g = 1.0 - f
+    h00 = (1.0 + 2.0 * f) * g * g
+    h01 = 1.0 - h00
+    h10 = grid.h * f * g * g
+    h11 = -grid.h * f * f * g
+    j = i + 1
+    ripple = (h00 * value[i] + h01 * value[j]
+              + h10 * slope[i] + h11 * slope[j])
+    ripple_slope = (h00 * slope[i] + h01 * slope[j]
+                    + h10 * curvature[i] + h11 * curvature[j])
+    return ripple, ripple_slope
+
+
+@pytest.mark.parametrize("base,r", [(SAW, 0.137), (SAW, 0.01),
+                                    (GaussianSawtooth(0.01, 20.0), 0.02)])
+def test_ripple_lookup_matches_hermite_basis(base, r):
+    from smoothloc.models import _ripple_grid
+
+    grid = _ripple_grid(base.w, base.slope, r)
+    count = grid.ripple.shape[1]
+    assert np.array_equal(grid.ripple[1, :-1],
+                          grid.h * grid.ripple_slope[0, :-1])
+    # R'' at the nodes in closed form: sum_j D_j phi((u - b_j)/r) / r
+    nodes = grid.lo + grid.h * np.arange(count)
+    jumps = np.diff(base._segment_slopes(), prepend=0.0, append=0.0)
+    t = (nodes[:, None] - np.asarray(base.breakpoints())) / r
+    curvature = (jumps * np.exp(-0.5 * t * t)).sum(axis=1)
+    curvature /= r * math.sqrt(2.0 * math.pi)
+    curvature[[0, -1]] = 0.0
+    # three random points in every cell, the nodes, and both ends
+    cells = np.arange(count - 1)[:, None]
+    frac = RngSeed(3).generator().random((count - 1, 3))
+    inside = np.concatenate([
+        (grid.lo + grid.h * (cells + frac)).ravel(), nodes,
+        [grid.lo, nodes[-1], np.nextafter(nodes[-1], -np.inf)],
+    ])
+    got_r, got_s = grid.lookup(inside)
+    want_r, want_s = hermite_ripple(grid, curvature, inside)
+    ulp = np.finfo(float).eps
+    assert np.max(np.abs(got_r - want_r)) <= 4 * ulp * np.max(np.abs(want_r))
+    assert np.max(np.abs(got_s - want_s)) <= 4 * ulp * np.max(np.abs(want_s))
+    outside = np.array([grid.lo - grid.h, grid.lo - 1.0, nodes[-1] + grid.h,
+                        nodes[-1] + 1.0, -1e300, 1e300, -np.inf, np.inf,
+                        np.nan])
+    for got in grid.lookup(outside):
+        assert np.array_equal(got, np.zeros(outside.size))
+
+
 def test_fisher_laplace_small_radius_against_normal_laplace():
     # Laplace(0,1) * N(0, r^2) written out (Reed & Jorgensen 2004); a
     # uniform Simpson grid once missed the r-wide bend at the kink by 2e-4
