@@ -8,7 +8,13 @@ own parameters; the unknown shift lambda belongs to the data, which
 callers form as samples of f plus lambda.
 
 Instances are frozen and hashable; downstream caches key on them
-directly.
+directly.  Parameters are checked on construction: scales within
+[1e-100, 1e100], a location that float64 resolves at its scale, and a
+sawtooth tooth width of at least 1e-3.
+
+scipy.special (ndtr, ndtri, erfc, erfcx, logsumexp) is imported on the
+first call that needs it, not with this module, so that importing
+smoothloc needs numpy alone.
 """
 
 from __future__ import annotations
@@ -20,7 +26,6 @@ from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
-from scipy import special
 
 from .errors import ModelSpecError, PreconditionError
 from .rng import RngSeed
@@ -28,6 +33,14 @@ from .rng import RngSeed
 _SQRT2PI = math.sqrt(2.0 * math.pi)
 _SQRT_HALF = math.sqrt(0.5)
 _ERFC_MAX_X = 26.0  # erfc underflows past this argument
+
+
+def _special():
+    # scipy.special is loaded on first use, not at import: it costs most of
+    # `import smoothloc`, and the concentration study never calls it
+    from scipy import special
+
+    return special
 
 
 def _phi(u):
@@ -147,17 +160,17 @@ class Gaussian(Density1d):
     sigma: float
 
     def __post_init__(self):
-        if not self.sigma > 0:
-            raise PreconditionError("gaussian sigma must be > 0")
+        _require_scale("gaussian sigma", self.sigma)
+        _require_resolved("gaussian mu", abs(self.mu), self.sigma, "its sigma")
 
     def _pdf(self, u):
         return _phi((u - self.mu) / self.sigma) / self.sigma
 
     def _cdf(self, u):
-        return special.ndtr((u - self.mu) / self.sigma)
+        return _special().ndtr((u - self.mu) / self.sigma)
 
     def _quantile(self, p):
-        return self.mu + self.sigma * special.ndtri(p)
+        return self.mu + self.sigma * _special().ndtri(p)
 
     def _draw(self, gen, n):
         return self.mu + self.sigma * gen.standard_normal(n)
@@ -183,8 +196,8 @@ class Laplace(Density1d):
     b: float
 
     def __post_init__(self):
-        if not self.b > 0:
-            raise PreconditionError("laplace scale b must be > 0")
+        _require_scale("laplace scale b", self.b)
+        _require_resolved("laplace mu", abs(self.mu), self.b, "its scale b")
 
     def _pdf(self, u):
         return np.exp(-np.abs(u - self.mu) / self.b) / (2.0 * self.b)
@@ -236,6 +249,7 @@ class Laplace(Density1d):
         log_scale = (0.5 * k * k - math.log(4.0 * b)) - tau / b
         any_deep = k * _SQRT_HALF > _ERFC_MAX_X  # x2 is at most k/sqrt2
         x2_near = np.minimum(x2, _ERFC_MAX_X) if any_deep else x2
+        special = _special()
         near = special.erfc(x2_near)
         far = special.erfcx(x1)
         if any_deep:
@@ -266,12 +280,14 @@ class GaussianMixture(Density1d):
         s = tuple(float(v) for v in self.sigmas)
         if not (len(w) == len(m) == len(s)) or len(w) == 0:
             raise PreconditionError("mixture needs matching, nonempty parameter tuples")
-        if any(v <= 0 for v in w):
+        if not all(v > 0 for v in w):
             raise PreconditionError("mixture weights must be positive")
         if abs(sum(w) - 1.0) > 1e-9:
             raise PreconditionError("mixture weights must sum to 1 within 1e-9")
-        if any(v <= 0 for v in s):
-            raise PreconditionError("mixture component sigmas must be > 0")
+        for i, (mu, sigma) in enumerate(zip(m, s)):
+            _require_scale(f"mixture component {i} sigma", sigma)
+            _require_resolved(f"mixture component {i} mean", abs(mu), sigma,
+                              "its sigma")
         object.__setattr__(self, "weights", w)
         object.__setattr__(self, "means", m)
         object.__setattr__(self, "sigmas", s)
@@ -289,7 +305,7 @@ class GaussianMixture(Density1d):
     def _cdf(self, u):
         w, m, s = self._arrays()
         u = np.asarray(u, dtype=float)
-        return np.sum(w * special.ndtr((u[..., None] - m) / s), axis=-1)
+        return np.sum(w * _special().ndtr((u[..., None] - m) / s), axis=-1)
 
     def _bracket(self):
         w, m, s = self._arrays()
@@ -314,13 +330,20 @@ class GaussianMixture(Density1d):
         var = s**2 + r * r
         d = np.asarray(u, dtype=float)[..., None] - m
         log_comp = np.log(w) - 0.5 * np.log(2.0 * math.pi * var) - 0.5 * d * d / var
-        log_pdf = special.logsumexp(log_comp, axis=-1)
+        log_pdf = _special().logsumexp(log_comp, axis=-1)
         resp = np.exp(log_comp - log_pdf[..., None])
         return log_pdf, np.sum(resp * (-d / var), axis=-1)
 
     def quadrature_extent(self):
         _, m, s = self._arrays()
         return (float(np.min(m)), float(np.max(m)), float(np.max(s)))
+
+
+# Every cost of the sawtooth grows with its tooth count, about 2/w kinks:
+# the Fisher rule puts panel edges around each, and the ripple grid sums a
+# term per kink.  On a 2-core host, a `fisher` call at w = 1e-3 takes
+# about 1 s and 110 MB, and at w = 1e-4 4.2 s and 216 MB.
+_SAWTOOTH_MIN_W = 1e-3
 
 
 def _tri_wave(t):
@@ -351,9 +374,10 @@ class GaussianSawtooth(Density1d):
     slope: float
 
     def __post_init__(self):
-        if not 0.0 < self.w <= 0.5:
-            raise PreconditionError("sawtooth tooth width w must be in (0, 0.5]")
-        if self.slope < 0:
+        if not _SAWTOOTH_MIN_W <= self.w <= 0.5:
+            raise PreconditionError(f"sawtooth tooth width w must be in "
+                                    f"[{_SAWTOOTH_MIN_W:g}, 0.5], got {self.w:g}")
+        if not self.slope >= 0:
             raise PreconditionError("sawtooth slope must be >= 0")
         if self.w * self.slope / 2.0 > 0.2 + 1e-12:
             raise PreconditionError(
@@ -394,7 +418,7 @@ class GaussianSawtooth(Density1d):
             * self.slope
             * (_tri_wave_integral(t) - _tri_wave_integral(np.float64(self.n_teeth)))
         )
-        return special.ndtr(u) + ripple_mass
+        return _special().ndtr(u) + ripple_mass
 
     def _bracket(self):
         return (-14.0, 14.0)
@@ -512,7 +536,9 @@ class GaussianSawtooth(Density1d):
 # interpolants of R and of R' (8 float64 per grid point, 64 MiB at
 # _RIPPLE_MAX_POINTS), and a lookup is one cell index, one fraction and two
 # Horner cubics.  At spacing r/128 the score error is about 1e-11,
-# independent of r.
+# independent of r.  A run scores at one radius per sample size, so the
+# cache keeps the last two tables: at most 128 MiB however many radii a
+# sweep visits.
 _RIPPLE_REACH = 12.0
 _RIPPLE_POINTS_PER_R = 128
 _RIPPLE_MAX_POINTS = 1 << 20
@@ -563,7 +589,7 @@ def _hermite_cells(value, slope, h):
     return coef
 
 
-@lru_cache(maxsize=8)
+@lru_cache(maxsize=2)
 def _ripple_grid(w: float, slope: float, r: float) -> _RippleGrid:
     saw = GaussianSawtooth(w, slope)
     kinks = np.asarray(saw.breakpoints())
@@ -587,7 +613,7 @@ def _ripple_grid(w: float, slope: float, r: float) -> _RippleGrid:
         sl = slice(max(center - reach, 0), min(center + reach + 1, count))
         t = (u[sl] - b) / r
         a = -np.abs(t)
-        tail = special.ndtr(a)
+        tail = _special().ndtr(a)
         dens = _phi(a)
         value[sl] += jump * r * (a * tail + dens)
         slope_at[sl] += jump * np.where(t > 0.0, -tail, tail)
@@ -628,15 +654,38 @@ class ProductDensity:
         return np.diag([c.variance() for c in self.components])
 
 
-
 # Float64 resolves a shifted sample only while the spacing of doubles at
 # |lambda| is small against the model's spread.  A shift is accepted up
 # to a spacing of this fraction of the model's IQR (the smallest
 # component IQR of a product): forming lambda + draw then moves a sample
 # by at most half a millionth of the IQR, far below the estimator's error
 # at any n the harness runs.  Past it the draws round away, and an error
-# of 0 would measure nothing.
+# of 0 would measure nothing.  A family's own location is held to the
+# same fraction of its scale.
 _SHIFT_SPACING_FRACTION = 1e-6
+
+# Scales the Gaussian, Laplace and mixture families accept.  Inside this
+# range their closed forms run free of overflow, underflow and invalid
+# operations; past it sigma**2, the normal-Laplace terms or the Fisher
+# integrand overflow or lose the density.
+_SCALE_RANGE = (1e-100, 1e100)
+
+
+def _require_scale(name: str, scale) -> None:
+    lo, hi = _SCALE_RANGE
+    if not lo <= scale <= hi:
+        raise PreconditionError(f"{name} must be in [{lo:g}, {hi:g}], got {scale:g}")
+
+
+def _require_resolved(name: str, size: float, spread: float, of: str) -> None:
+    # a magnitude `size` whose float64 spacing passes the fraction of the
+    # spread rounds every draw placed there onto a handful of doubles
+    spacing = float(np.spacing(size))
+    if not spacing <= _SHIFT_SPACING_FRACTION * spread:
+        raise PreconditionError(
+            f"{name} = {size:g} is too large for this model: float64 spacing "
+            f"there is {spacing:.3g}, more than {_SHIFT_SPACING_FRACTION:g} "
+            f"of {of} {spread:.6g}")
 
 
 def require_resolvable_shift(base, shift, key: str) -> None:
@@ -645,13 +694,7 @@ def require_resolvable_shift(base, shift, key: str) -> None:
     largest magnitude counts)."""
     comps = base.components if isinstance(base, ProductDensity) else (base,)
     iqr = min(c.iqr() for c in comps)
-    size = float(np.max(np.abs(shift)))
-    spacing = float(np.spacing(size))
-    if not spacing <= _SHIFT_SPACING_FRACTION * iqr:
-        raise PreconditionError(
-            f"{key} = {size:g} is too large for this model: float64 spacing "
-            f"there is {spacing:.3g}, more than {_SHIFT_SPACING_FRACTION:g} "
-            f"of the model's IQR {iqr:.6g}")
+    _require_resolved(key, float(np.max(np.abs(shift))), iqr, "the model's IQR")
 
 # -- model-spec grammar ------------------------------------------------
 #
@@ -716,7 +759,10 @@ class _Parser:
             raise ModelSpecError(f"expected a number, found {text or 'end of input'!r}",
                                  position=pos)
         self.take()
-        return sign * float(text)
+        value = float(text)
+        if math.isinf(value):
+            raise ModelSpecError("number out of range", position=pos)
+        return sign * value
 
     def integer(self) -> int:
         kind, text, pos = self.peek()

@@ -20,6 +20,9 @@ of r around it, where f_r changes on the scale r.
 
 High-d smoothing uses R = r^2*I on product bases, so everything reduces
 exactly to per-coordinate 1-d evaluations.
+
+This module needs numpy alone to import; the Gauss-Legendre rule, and
+with it scipy.special, is loaded on the first quadrature.
 """
 
 from __future__ import annotations
@@ -29,15 +32,21 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy import special
 
 from .errors import PreconditionError, TailUnderflowError
 from .models import Density1d, ProductDensity
 from .rng import RngSeed
 
 _LOG_UNDERFLOW = math.log(1e-300)
-_GL_T, _GL_W = special.roots_legendre(20)
 _UNIFORM_PANELS = 128
+
+
+@lru_cache(maxsize=None)
+def _gauss_legendre():
+    """The 20-point Gauss-Legendre nodes and weights on [-1, 1]."""
+    from scipy import special
+
+    return special.roots_legendre(20)
 
 
 def _require_radius(r) -> None:
@@ -108,8 +117,9 @@ def _panel_rule(m: SmoothedModel1d, shift: float = 0.0):
         edges.append((kinks[:, None] + offsets).ravel())
     edges = np.unique(np.clip(np.concatenate(edges), lo, hi))
     half = 0.5 * np.diff(edges)[:, None]
-    x = (edges[:-1, None] + half * (1.0 + _GL_T)).ravel()
-    return x, (half * _GL_W).ravel()
+    nodes, weights = _gauss_legendre()
+    x = (edges[:-1, None] + half * (1.0 + nodes)).ravel()
+    return x, (half * weights).ravel()
 
 
 @lru_cache(maxsize=None)

@@ -149,6 +149,7 @@ def test_criterion_04_coverage_1d(detail):
     assert elapsed < 300.0
 
 
+@pytest.mark.slow
 def test_criterion_05_sawtooth_phase(detail):
     t0 = time.monotonic()
     sweep = run_fisher_sweep("sawtooth(0.05,4)", (0.01, 0.2))
@@ -167,6 +168,7 @@ def test_criterion_05_sawtooth_phase(detail):
     assert elapsed < 1200.0
 
 
+@pytest.mark.slow
 def test_sawtooth_control_flat_normalized_error():
     # control for the phase scan: no teeth, so the normalized error must
     # stay flat instead of dropping (on the schedule-free n_local column)
@@ -305,6 +307,7 @@ def cli(*args):
     return res.stdout
 
 
+@pytest.mark.slow
 def test_criterion_10_determinism(tmp_path, detail):
     t0 = time.monotonic()
     for name, text in BENCH_CONFIGS.items():

@@ -604,6 +604,48 @@ def test_import_leaves_scipy_interpolate_unloaded():
     assert res.stdout.strip() == "False"
 
 
+# scipy.special is loaded on first use.  These run in fresh processes, since
+# this one has loaded scipy long since.
+
+
+def run_python(code: str) -> str:
+    res = subprocess.run([sys.executable, "-c", code],
+                         capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr
+    return res.stdout
+
+
+def test_import_leaves_scipy_unloaded():
+    out = run_python("import sys, smoothloc, smoothloc.cli; "
+                     "print('scipy' in sys.modules)")
+    assert out.strip() == "False"
+
+
+def test_bench_concentration_leaves_scipy_unloaded(tmp_path):
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text("experiment = concentration\n"
+                   "families = gaussian,exponential,rademacher\nd-grid = 4,64\n"
+                   "delta-grid = 0.1\ntrials = 2000\nseed = 3\nthreads = 2\n")
+    argv = ["bench", "concentration", "--config", str(cfg),
+            "--out", str(tmp_path / "o.csv")]
+    out = run_python("import sys; from smoothloc import cli; "
+                     f"rc = cli.main({argv!r}); print(rc, 'scipy' in sys.modules)")
+    assert out.strip() == "0 False"
+
+
+def test_scipy_first_loaded_in_pool_threads_gives_serial_csv():
+    # 26 trials of n = 10^4 make two blocks, so at threads=2 both pool
+    # threads reach fisher_1d and Laplace._smoothed, and import
+    # scipy.special, at about the same time
+    code = ("import sys; from smoothloc.harness import run_coverage; "
+            "assert 'scipy' not in sys.modules; "
+            "sys.stdout.write(run_coverage('laplace(0,1)', 10_000, 26, 0.1, "
+            "seed=8, threads={}).to_csv())")
+    serial, pooled = (run_python(code.format(t)) for t in (1, 2))
+    assert pooled == serial
+    assert serial.count("\n") == 28  # header, 26 trials, summary
+
+
 def test_cli_fisher_stdout():
     res = run_cli("fisher", "--model", "gaussian(0,1)", "--r-grid", "0.5,1")
     assert res.returncode == 0
@@ -689,6 +731,32 @@ def test_cli_rejects_non_finite_lambda_true(args):
     res = run_cli(*args, "--n", "1000", "--delta", "0.1", "--seed", "1")
     assert res.returncode == 2
     assert res.stderr.startswith("error: --lambda-true must be finite")
+
+
+_ESTIMATE = ("--n", "5000", "--delta", "0.1", "--seed", "1")
+_ESTIMATE_HD = ("--r", "0.5", "--eta", "0.25") + _ESTIMATE
+
+
+# Each crashed with a traceback (OverflowError, a math domain error), printed
+# fisher_at_r = inf, failed later with a misleading shift diagnosis, or (the
+# sawtooth) took seconds and hundreds of MB.
+@pytest.mark.parametrize("args,name", [
+    (("estimate", "--model", "gaussian(0,1e300)") + _ESTIMATE, "gaussian sigma"),
+    (("fisher", "--model", "gaussian(0,1e200)", "--r-grid", "0.1"),
+     "gaussian sigma"),
+    (("estimate-hd", "--model", "product(gaussian(0,1e300)^2)") + _ESTIMATE_HD,
+     "gaussian sigma"),
+    (("estimate", "--model", "gaussian(0,1e-200)") + _ESTIMATE, "gaussian sigma"),
+    (("estimate", "--model", "laplace(0,1e-300)") + _ESTIMATE, "laplace scale b"),
+    (("estimate", "--model", "laplace(1e20,1)") + _ESTIMATE, "laplace mu"),
+    (("fisher", "--model", "sawtooth(1e-4,0)", "--r-grid", "0.1"),
+     "sawtooth tooth width w"),
+])
+def test_cli_rejects_out_of_range_model_numbers(args, name):
+    res = run_cli(*args)
+    assert res.returncode == 2
+    assert res.stderr.startswith(f"error: {name} ")
+    assert "position" in res.stderr
 
 
 # trials = 0 divided by zero in the coverage tally and gave a sawtooth

@@ -283,6 +283,41 @@ def test_invalid_parameters_rejected():
         GaussianSawtooth(0.05, 9.0)  # amplitude w*slope/2 > 0.2
 
 
+# Each of these crashed (OverflowError from sigma**2, a math domain error),
+# printed an infinite Fisher information, failed later with a misleading
+# diagnosis, or (the sawtooth) spent seconds and hundreds of MB on 20000
+# kinks.
+@pytest.mark.parametrize("make,name", [
+    (lambda: Gaussian(0, 1e300), "gaussian sigma"),
+    (lambda: Gaussian(0, 1e-200), "gaussian sigma"),
+    (lambda: Gaussian(0, math.nan), "gaussian sigma"),
+    (lambda: Gaussian(1e20, 1), "gaussian mu"),
+    (lambda: Laplace(0, 1e-300), "laplace scale b"),
+    (lambda: Laplace(0, 1e101), "laplace scale b"),
+    (lambda: Laplace(1e20, 1), "laplace mu"),
+    (lambda: Laplace(math.inf, 1), "laplace mu"),
+    (lambda: GaussianMixture((0.5, 0.5), (0, 1), (1, 1e-101)),
+     "mixture component 1 sigma"),
+    (lambda: GaussianMixture((0.5, 0.5), (1e12, 0), (1, 1)),
+     "mixture component 0 mean"),
+    (lambda: GaussianMixture((math.nan, 1.0), (0, 0), (1, 1)), "mixture weights"),
+    (lambda: GaussianSawtooth(1e-4, 0.0), "sawtooth tooth width w"),
+    (lambda: GaussianSawtooth(0.05, math.nan), "sawtooth slope"),
+])
+def test_out_of_range_parameters_rejected_by_name(make, name):
+    with pytest.raises(PreconditionError, match=f"^{name} "):
+        make()
+
+
+def test_parameter_range_ends_accepted():
+    for scale in (1e-100, 1e100):
+        Gaussian(0, scale)
+        Laplace(0, scale)
+        GaussianMixture((0.5, 0.5), (0, 0), (scale, 1))
+    Gaussian(1e6, 1)  # spacing 1.2e-10, within 1e-6 of the scale
+    GaussianSawtooth(1e-3, 400.0)
+
+
 # -- spec grammar --------------------------------------------------------
 
 ROUND_TRIP_SPECS = [
@@ -316,6 +351,21 @@ def test_grammar_errors_carry_position():
                 "product(gaussian(0,1)^0)", "mixture(1.5*gaussian(0,1))"):
         with pytest.raises(ModelSpecError):
             parse_model(bad)
+
+
+# A number that overflows to inf was accepted: gaussian(1e400,1) then failed
+# with a misleading shift diagnosis, laplace(0,1e400) with non-finite
+# samples, and a 1e400 product exponent with an OverflowError traceback.
+@pytest.mark.parametrize("spec,position", [
+    ("gaussian(1e400,1)", 9),
+    ("laplace(0,1e400)", 10),
+    ("gaussian(-1e400,1)", 10),
+    ("product(laplace(0,1)^1e400)", 21),
+])
+def test_grammar_rejects_numbers_out_of_range(spec, position):
+    with pytest.raises(ModelSpecError, match="^number out of range") as exc:
+        parse_model(spec)
+    assert exc.value.position == position
 
 
 # -- rng -----------------------------------------------------------------

@@ -29,6 +29,7 @@ from smoothloc import (
     smoothed_score_1d,
     smoothed_score_hd,
 )
+from smoothloc import smoothing
 from smoothloc.smoothing import (
     expected_score_taylor_check,
     expected_shifted_score,
@@ -308,6 +309,14 @@ def test_score_tail_underflow():
 
 
 # -- fisher information ----------------------------------------------------
+
+
+def test_panel_rule_nodes_are_roots_legendre():
+    # the rule is built on first use, from the call that made it at import
+    nodes, weights = smoothing._gauss_legendre()
+    want_nodes, want_weights = special.roots_legendre(20)
+    assert np.array_equal(nodes, want_nodes)
+    assert np.array_equal(weights, want_weights)
 
 
 def test_fisher_gaussian_closed_form():
