@@ -102,7 +102,8 @@ def _cmd_estimate(args) -> int:
         raise PreconditionError(f"--lambda-true must be finite, got {args.lambda_true}")
     require_resolvable_shift(base, args.lambda_true, "--lambda-true")
     root = RngSeed(args.seed)
-    x = base.sample(args.n, root.derive(2)) + args.lambda_true
+    x = base.sample(args.n, root.derive(2))
+    x += args.lambda_true
     cfg = Config1d(delta=args.delta, r_override=args.r)
     rep = global_mle_1d(base, x, cfg, root.derive(3))
     abs_err = abs(rep.lambda_hat - args.lambda_true)
@@ -139,7 +140,8 @@ def _cmd_estimate_hd(args) -> int:
         raise PreconditionError(f"--lambda-true must be finite, got {args.lambda_true}")
     require_resolvable_shift(base, lam, "--lambda-true")
     root = RngSeed(args.seed)
-    x = base.sample(args.n, root.derive(2)) + lam
+    x = base.sample(args.n, root.derive(2))
+    x += lam
     cfg = ConfigHd(delta=args.delta, r=args.r, eta=args.eta)
     rep = global_mle_hd(base, x, cfg, root.derive(3))
     err = m_norm(rep.lambda_hat - lam, cfg.norm_matrix(base.dim))

@@ -272,7 +272,9 @@ def _run_blocks(estimate_rows, base, cfg, n: int, seeds, lambda_scale: float,
     """row(t, lam, x, rep) for each trial t in order, in blocks.
 
     Trial t draws its shift (a float, or a `dim`-vector) from
-    seeds[t].derive(1) and its n samples from seeds[t].derive(2).
+    seeds[t].derive(1) and its n samples from seeds[t].derive(2),
+    straight into its row of the block's stack, where the shift is
+    added in place.
     estimate_rows runs once per block on its (B, n[, dim]) stack, with
     seeds[t].derive(3) for trial t's row.  rep is the trial's report or
     "error: ..." note: a whole-block failure is every row's note.  A
@@ -290,7 +292,8 @@ def _run_blocks(estimate_rows, base, cfg, n: int, seeds, lambda_scale: float,
         for ts, sample in zip(block_seeds, x):
             lam = ts.derive(1).generator().uniform(-lambda_scale, lambda_scale,
                                                    size=dim)
-            np.add(base.sample(n, ts.derive(2)), lam, out=sample)
+            base.sample(n, ts.derive(2), out=sample)
+            sample += lam
             lams.append(lam)
         try:
             reps = estimate_rows(base, x, cfg, [ts.derive(3) for ts in block_seeds])

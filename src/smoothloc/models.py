@@ -7,6 +7,13 @@ shape convolved with N(0, r^2).  A model is the base f, located by its
 own parameters; the unknown shift lambda belongs to the data, which
 callers form as samples of f plus lambda.
 
+`sample(n, seed, out=None)` draws from seed's generator into a new array
+or, as numpy's generators do, into the caller's C-contiguous float64
+`out`, with the same bits either way.  Each family has one draw path,
+`_draw_into`, which fills the vector it is given; a product fills each
+component's column in turn from one generator.  The sawtooth's
+rejection rounds run inside the caller's array.
+
 Instances are frozen and hashable; downstream caches key on them
 directly.  Parameters are checked on construction: scales within
 [1e-100, 1e100], a location that float64 resolves at its scale, and a
@@ -78,8 +85,14 @@ class Density1d:
     def _bracket(self):
         raise NotImplementedError
 
-    def _draw(self, gen: np.random.Generator, n: int):
+    def _draw_into(self, gen: np.random.Generator, out: np.ndarray) -> None:
+        # fill the contiguous float64 vector `out` with draws from gen
         raise NotImplementedError
+
+    def _draw(self, gen: np.random.Generator, n: int) -> np.ndarray:
+        out = np.empty(n)
+        self._draw_into(gen, out)
+        return out
 
     def mean(self) -> float:
         raise NotImplementedError
@@ -114,10 +127,14 @@ class Density1d:
             raise PreconditionError("quantile requires 0 < p < 1")
         return _return_like(p, self._quantile(parr))
 
-    def sample(self, n: int, seed: RngSeed):
-        if n < 1:
-            raise PreconditionError("sample requires n >= 1")
-        return self._draw(seed.generator(), int(n))
+    def sample(self, n: int, seed: RngSeed, out: np.ndarray | None = None):
+        """n draws from seed's generator, as a new array or written into
+        `out`, a C-contiguous float64 array of shape (n,), and returned."""
+        n = _sample_count(n)
+        if out is None:
+            return self._draw(seed.generator(), n)
+        self._draw_into(seed.generator(), _require_out(out, (n,)))
+        return out
 
     def iqr(self) -> float:
         return _iqr(self)
@@ -136,6 +153,24 @@ def _iqr(model: Density1d) -> float:
     # cached per model: the sawtooth's quartiles are a 60-step bisection
     q = model._quantile(np.array([0.25, 0.75]))
     return float(q[1] - q[0])
+
+
+def _sample_count(n) -> int:
+    if n < 1:
+        raise PreconditionError("sample requires n >= 1")
+    return int(n)
+
+
+def _require_out(out, shape: tuple) -> np.ndarray:
+    if not (isinstance(out, np.ndarray) and out.dtype == np.float64
+            and out.shape == shape and out.flags.c_contiguous
+            and out.flags.writeable):
+        got = (f"{out.dtype} array of shape {out.shape}"
+               if isinstance(out, np.ndarray) else type(out).__name__)
+        raise PreconditionError(
+            f"sample out must be a writable C-contiguous float64 array of "
+            f"shape {shape}, got {got}")
+    return out
 
 
 def _bisect_cdf(cdf, p, lo, hi, tol=1e-10):
@@ -172,8 +207,11 @@ class Gaussian(Density1d):
     def _quantile(self, p):
         return self.mu + self.sigma * _special().ndtri(p)
 
-    def _draw(self, gen, n):
-        return self.mu + self.sigma * gen.standard_normal(n)
+    def _draw_into(self, gen, out):
+        # mu + sigma * z, in that rounding
+        gen.standard_normal(out=out)
+        out *= self.sigma
+        out += self.mu
 
     def mean(self):
         return float(self.mu)
@@ -190,8 +228,15 @@ class Gaussian(Density1d):
         return (self.mu, self.mu, self.sigma)
 
 
+# The largest r/b at which Laplace._smoothed is used; see there.
+_LAPLACE_MAX_K = 1e3
+
+
 @dataclass(frozen=True)
 class Laplace(Density1d):
+    """Laplace(mu, b).  Its smoothing by N(0, r^2) is evaluated for
+    r/b <= 1e3 and refused beyond, where the score loses its digits."""
+
     mu: float
     b: float
 
@@ -212,8 +257,9 @@ class Laplace(Density1d):
         upper = self.mu - self.b * np.log(2.0 * (1.0 - p))
         return np.where(p <= 0.5, lower, upper)
 
-    def _draw(self, gen, n):
-        return gen.laplace(self.mu, self.b, n)
+    def _draw_into(self, gen, out):
+        # Generator.laplace has no out=
+        out[...] = gen.laplace(self.mu, self.b, out.size)
 
     def mean(self):
         return float(self.mu)
@@ -239,8 +285,16 @@ class Laplace(Density1d):
         # far = erfcx(x1), and the prefactor becomes e^{-z^2/2}/(4b).
         # Beyond z = k + 40, far is 0 and near is 2 to the last bit, so z is
         # capped there, which keeps tau/r finite.
+        # At k >> 1 near and far agree to about 1/k, so far - near keeps
+        # roughly 1e-16 k of relative precision: 3e-10 at k = 1e3, 1e-4 at
+        # 1e6, none at 1e8.
         b = self.b
         k = r / b
+        if not k <= _LAPLACE_MAX_K:
+            raise PreconditionError(
+                f"laplace smoothing radius r = {r:g} is r/b = {k:g} times the "
+                f"scale b = {b:g}; the score keeps its digits only up to "
+                f"r/b = {_LAPLACE_MAX_K:g}")
         t = np.reshape(np.asarray(u, dtype=float) - self.mu, -1)
         tau = np.abs(t)
         z = np.minimum(tau, r * (k + 40.0)) / r
@@ -311,10 +365,13 @@ class GaussianMixture(Density1d):
         w, m, s = self._arrays()
         return (float(np.min(m - 14.0 * s)), float(np.max(m + 14.0 * s)))
 
-    def _draw(self, gen, n):
+    def _draw_into(self, gen, out):
+        # m + s * z per draw's component, in that rounding
         w, m, s = self._arrays()
-        comp = gen.choice(len(self.weights), size=n, p=w / w.sum())
-        return m[comp] + s[comp] * gen.standard_normal(n)
+        comp = gen.choice(len(self.weights), size=out.size, p=w / w.sum())
+        gen.standard_normal(out=out)
+        out *= s[comp]
+        out += m[comp]
 
     def mean(self):
         w, m, _ = self._arrays()
@@ -423,17 +480,21 @@ class GaussianSawtooth(Density1d):
     def _bracket(self):
         return (-14.0, 14.0)
 
-    def _draw(self, gen, n):
+    def _draw_into(self, gen, out):
         # Rejection from the Gaussian envelope m_env * phi.  The batch size
         # depends only on the remaining count, so the candidate stream, and
-        # with it the accepted draws, is reproducible.  A round draws its
-        # batch of normals in one call; the batch's uniforms follow them in
-        # the stream, one 64-bit word each, so they are drawn block by
-        # block as each block is tested and are the numbers one call for
-        # the whole batch would give.  Once n are accepted the words of the
-        # round's untested uniforms are skipped, not converted, so the
-        # generator ends where the whole batch would leave it (a product
-        # draws its next component from it).  The test
+        # with it the accepted draws, is reproducible.  A round with k draws
+        # accepted draws its batch of normals in two calls, which give the
+        # numbers one call would: the first n - k straight into out[k:], the
+        # rest (batch > n - k) into a spill array.  The batch's uniforms
+        # follow them in the stream, one 64-bit word each, so they are drawn
+        # block by block as each block of out[k:] and then of the spill is
+        # tested.  Accepted candidates are compacted into out[k:] in place:
+        # a block's accepted values are gathered before they are written,
+        # and the write index never passes the read index.  Once n are
+        # accepted the words of the round's untested uniforms are skipped,
+        # not converted, so the generator ends where the whole batch would
+        # leave it (a product draws its next component from it).  The test
         # u * m_env * phi(y) <= phi(y) + fl(w*slope * tri(y/w)) is decided
         # per block.  |tri| <= 1/2 and rounding is monotone, so every ripple
         # term lies in [-amp, amp] and the right side rounds into
@@ -446,36 +507,38 @@ class GaussianSawtooth(Density1d):
         amp = 0.5 * ws
         m_env = 1.0 + amp / float(_phi(1.0))
         edge = self.n_teeth * self.w
-        out = np.empty(n)
+        n = out.size
         k = 0
         while k < n:
             batch = max(1024, int(1.2 * (n - k) * m_env) + 1)
-            y_batch = gen.standard_normal(batch)
-            for start in range(0, batch, _LOOKUP_BLOCK):
-                y = y_batch[start : start + _LOOKUP_BLOCK]
-                # phi(y) and u * m_env * phi(y), in place, in _phi's order
-                p = np.square(y)
-                p *= -0.5
-                np.exp(p, out=p)
-                p /= _SQRT2PI
-                lhs = gen.random(y.size)
-                lhs *= m_env
-                lhs *= p
-                keep = lhs <= p
-                in_band = lhs > p - amp
-                in_band &= lhs <= p + amp
-                in_band &= np.abs(y) <= edge
-                band = np.flatnonzero(in_band)
-                keep[band] = lhs[band] <= p[band] + ws * _tri_wave(y[band] / self.w)
-                accepted = y[np.flatnonzero(keep)]
-                take = min(n - k, accepted.shape[0])
-                out[k : k + take] = accepted[:take]
-                k += take
-                if k == n:
-                    gen.bit_generator.random_raw(batch - start - y.size,
-                                                 output=False)
-                    break
-        return out
+            gen.standard_normal(out=out[k:])
+            spill = gen.standard_normal(batch - (n - k))
+            tested = 0
+            for part in (out[k:], spill):
+                for start in range(0, part.size, _LOOKUP_BLOCK):
+                    y = part[start : start + _LOOKUP_BLOCK]
+                    tested += y.size
+                    # phi(y) and u * m_env * phi(y), in place, in _phi's order
+                    p = np.square(y)
+                    p *= -0.5
+                    np.exp(p, out=p)
+                    p /= _SQRT2PI
+                    lhs = gen.random(y.size)
+                    lhs *= m_env
+                    lhs *= p
+                    keep = lhs <= p
+                    in_band = lhs > p - amp
+                    in_band &= lhs <= p + amp
+                    in_band &= np.abs(y) <= edge
+                    band = np.flatnonzero(in_band)
+                    keep[band] = lhs[band] <= p[band] + ws * _tri_wave(y[band] / self.w)
+                    accepted = y[np.flatnonzero(keep)]
+                    take = min(n - k, accepted.size)
+                    out[k : k + take] = accepted[:take]
+                    k += take
+                    if k == n:
+                        gen.bit_generator.random_raw(batch - tested, output=False)
+                        return
 
     def mean(self):
         # int x*ripple dx = -int Ripple(x) dx by parts; the tooth-count
@@ -643,12 +706,20 @@ class ProductDensity:
     def dim(self) -> int:
         return len(self.components)
 
-    def sample(self, n: int, seed: RngSeed):
-        if n < 1:
-            raise PreconditionError("sample requires n >= 1")
+    def sample(self, n: int, seed: RngSeed, out: np.ndarray | None = None):
+        """(n, dim) draws, the components in turn from one generator, as a
+        new array or written into `out`, a C-contiguous float64 array of
+        that shape, and returned."""
+        n = _sample_count(n)
+        shape = (n, self.dim)
+        out = np.empty(shape) if out is None else _require_out(out, shape)
+        # the generators fill contiguous vectors only, and a column is strided
+        col = np.empty(n)
         gen = seed.generator()
-        cols = [c._draw(gen, int(n)) for c in self.components]
-        return np.column_stack(cols)
+        for j, c in enumerate(self.components):
+            c._draw_into(gen, col)
+            out[:, j] = col
+        return out
 
     def covariance(self):
         return np.diag([c.variance() for c in self.components])

@@ -7,7 +7,7 @@ import sys
 
 import numpy as np
 import pytest
-from scipy import optimize
+from scipy import optimize, stats
 
 from smoothloc import (
     ConfigHd,
@@ -419,6 +419,53 @@ def test_global_hd_coverage_laplace():
         if np.linalg.norm(rep.lambda_hat - lam) > rep.m_norm_error_bound:
             miss += 1
     assert miss / trials <= 0.13
+
+
+# -- the asymptotic constant -----------------------------------------------------
+#
+# The local step's error tends to N(0, I_R^{-1}/n_local), so
+# n_local e' I_R e tends to chi^2_d.  Over 1000 trials the sample median of
+# that quadratic form has a standard deviation of about
+# 0.5 / (sqrt(1000) f(m)), with f the chi^2_d density at its median m; the
+# band is 4 of those.
+
+
+def _fisher_quadratic_forms(spec, n, r, trials, seed, block=50):
+    """n_local e' I_R e per trial, for the error e of global_mle_hd at a
+    true location of 0."""
+    base, cfg, root = parse_model(spec), ConfigHd(delta=0.1, r=r), RngSeed(seed)
+    forms = []
+    for first in range(0, trials, block):
+        seeds = [root.derive(t) for t in range(first, min(first + block, trials))]
+        x = np.empty((len(seeds), n, base.dim))
+        for ts, row in zip(seeds, x):
+            base.sample(n, ts.derive(2), out=row)
+        for rep in global_mle_hd_rows(base, x, cfg, [ts.derive(3) for ts in seeds]):
+            e = rep.lambda_hat
+            forms.append(rep.n_used_local * float(e @ rep.fisher.matrix @ e))
+    return np.array(forms)
+
+
+@pytest.mark.parametrize("spec,n,r", [("product(laplace(0,1)^4)", 500, 0.5),
+                                      ("product(laplace(0,1)^4)", 5000, 0.5),
+                                      ("product(gaussian(0,1)^8)", 500, 1.0)])
+def test_hd_error_constant_is_fisher_limit(spec, n, r):
+    """The constant holds; the reported radius is far looser than it.
+
+    The radius's median over the empirical 0.9-quantile of ||e|| is about
+    4.3 for laplace^4 and 3.6 for gaussian^8 (1.48 in 1-d, which the
+    Gaussian tail constant explains).  In units of 1/sqrt(n I), at
+    delta = 0.1 and eta = 0.25, the bound
+    (1+eta) sqrt(Tr T/n) + 5 sqrt(||T|| log(4/delta)/n) is 2.5 + 9.6 for
+    laplace^4 and 3.5 + 9.6 for gaussian^8, against chi_d 0.9-quantiles
+    of 2.79 and 3.66: the constant 5 of the deviation term carries the gap.
+    """
+    trials = 1000
+    forms = _fisher_quadratic_forms(spec, n, r, trials, seed=11)
+    d = parse_model(spec).dim
+    median = stats.chi2.median(d)
+    sd = 0.5 / (math.sqrt(trials) * stats.chi2.pdf(median, d))
+    assert abs(np.median(forms) - median) <= 4 * sd
 
 
 def test_global_hd_coordinate_error_exchangeable():

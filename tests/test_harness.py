@@ -549,6 +549,23 @@ def test_concentration_at_d_65537_holds_no_d_by_d_matrix():
             assert q == math.sqrt(d)
 
 
+def test_sawtooth_trial_memory_is_two_and_a_half_samples():
+    # the sample is drawn straight into its block row and the sampler's
+    # rounds are compacted inside it; drawing into a fresh array, with a
+    # whole batch beside it, and copying into the row peaked at 4 samples.
+    # A first run loads scipy and fills the per-model caches (quantiles,
+    # Fisher information, ripple table), so the second measures one trial.
+    n = 10**6
+    run_sawtooth_phase(0.05, 4.0, (n,), 1, 0.1, seed=2, threads=1)
+    tracemalloc.start()
+    try:
+        run_sawtooth_phase(0.05, 4.0, (n,), 1, 0.1, seed=3, threads=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5 * 8 * n
+
+
 def test_concentration_unknown_family():
     with pytest.raises(ConfigurationError, match="unknown family"):
         run_concentration(("gauss",), (4,), (0.1,), 1000, 1)
@@ -757,6 +774,16 @@ def test_cli_rejects_out_of_range_model_numbers(args, name):
     assert res.returncode == 2
     assert res.stderr.startswith(f"error: {name} ")
     assert "position" in res.stderr
+
+
+# Laplace scores lose their digits at r/b >> 1; this printed a Fisher
+# information of 0 at both radii
+def test_cli_fisher_refuses_laplace_radius_past_ceiling():
+    res = run_cli("fisher", "--model", "laplace(0,1e-100)", "--r-grid", "1e-3,1")
+    assert res.returncode == 2
+    assert res.stdout == ""
+    assert res.stderr.startswith("error: laplace smoothing radius r = 0.001 ")
+    assert "r/b = 1e+97" in res.stderr
 
 
 # trials = 0 divided by zero in the coverage tally and gave a sawtooth

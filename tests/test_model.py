@@ -1,5 +1,6 @@
 """Model families: densities, quantiles, sampling, and the spec grammar."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -228,6 +229,67 @@ def test_sawtooth_draws_match_reference_loop_at_small_blocks(block, sizes,
     gen = RngSeed(12).generator()
     first = _reference_sawtooth_draw(SAW, gen, 1000)
     assert np.array_equal(got, np.column_stack([first, gen.standard_normal(1000)]))
+
+
+# sha256 of each model's draws at every n of the grid, each followed by
+# the generator's next raw word, from RngSeed(n, 15).  Frozen from the
+# sampler that drew each round's batch into its own array before copying
+# the accepted draws out; small n runs several rounds, and 1023-1025,
+# 65536 and 65537 put block and round edges at every offset.
+SAWTOOTH_DIGEST_NS = (1, 2, 5, 100, 1000, 1023, 1024, 1025, 5000, 65536,
+                      65537, 10**5, 10**6)
+SAWTOOTH_DIGESTS = {
+    (0.05, 4.0): "c50536223e345917d6a568b0bafe2efe9d5d779f8fa97022d0c902c4889c02d4",
+    (0.05, 0.0): "47161c5d1068f63a20d5fee927d0c5f662f3e93c721a50d8a507d62196dacbd3",
+    (0.1, 2.0): "1be1fc58da371646bbab2972543ffabf4c8217158aad4e8e664eed1d36c852e4",
+    (0.5, 0.8): "9f1a6169f08304400797c7394eba5e65745e9352dbd14f033e143575112beef4",
+    (0.001, 10.0): "d3a7c5c120d81290b7a029bbd054eec8b08b4af0b88dfdf6b99a0f227013752e",
+}
+
+
+@pytest.mark.parametrize("w,slope", SAWTOOTH_DIGESTS, ids=str)
+def test_sawtooth_draws_match_frozen_digests(w, slope):
+    model = GaussianSawtooth(w, slope)
+    h = hashlib.sha256()
+    for n in SAWTOOTH_DIGEST_NS:
+        gen = RngSeed(n, 15).generator()
+        h.update(model._draw(gen, n).tobytes())
+        h.update(np.uint64(gen.bit_generator.random_raw()).tobytes())
+    assert h.hexdigest() == SAWTOOTH_DIGESTS[(w, slope)]
+
+
+# in product(sawtooth^2) the second column starts where the first
+# component's rejection rounds leave the generator
+@pytest.mark.parametrize("model", FAMILIES + [
+    parse_model("product(gaussian(0,1),laplace(2,0.5))"),
+    parse_model("product(sawtooth(0.05,4)^2)"),
+    parse_model("product(mixture(0.3*gaussian(-1,0.5)+0.7*gaussian(2,1.5)),"
+                "sawtooth(0.1,2),laplace(0,1))"),
+], ids=format_model)
+def test_sample_into_out_is_sample(model):
+    for n in (1, 1000, 70_000):
+        want = model.sample(n, RngSeed(n, 16))
+        buf = np.full(want.shape, np.nan)
+        got = model.sample(n, RngSeed(n, 16), out=buf)
+        assert got is buf
+        assert np.array_equal(buf.view(np.int64), want.view(np.int64)), n
+
+
+@pytest.mark.parametrize("model,out", [
+    (SAW, np.empty(99)),
+    (SAW, np.empty((100, 1))),
+    (SAW, np.empty(100, dtype=np.float32)),
+    (SAW, np.empty(200)[::2]),
+    (SAW, [0.0] * 100),
+    (SAW, np.frombuffer(bytes(800))),  # read-only
+    (Laplace(0.0, 1.0), np.empty(100, dtype=np.int64)),
+    (parse_model("product(laplace(0,1)^2)"), np.empty((100, 3))),
+    (parse_model("product(laplace(0,1)^2)"), np.empty((2, 100)).T),
+    (parse_model("product(laplace(0,1)^2)"), np.empty(200)),
+])
+def test_sample_rejects_bad_out_by_name(model, out):
+    with pytest.raises(PreconditionError, match="sample out must be"):
+        model.sample(100, RngSeed(1), out=out)
 
 
 def test_tri_wave_floor_form_matches_mod_form_bitwise():

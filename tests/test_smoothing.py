@@ -269,6 +269,28 @@ def test_laplace_smoothed_against_mpmath(b, mu, k):
         assert abs(got_score - want_score) * b <= 1e-13, ui
 
 
+# At r/b = k >> 1 the score is about 1/(k b), so the absolute tolerance
+# above says little there; this checks its relative error.  Past k = 1e3
+# the difference of the two erfcx terms loses about 1e-16 k of it (1e-4 at
+# k = 1e6, all of it at 1e8), and _smoothed refuses such radii.
+@pytest.mark.parametrize("b,mu", [(1.0, 0.0), (2.0, 0.7), (1e-100, 0.0)])
+def test_laplace_score_relative_error_at_the_radius_ceiling(b, mu):
+    mp = pytest.importorskip("mpmath")
+    r = 1e3 * b
+    ts = [r, -r, 3 * r, -3 * r, 30 * r, -30 * r]
+    _, score = Laplace(mu, b)._smoothed(mu + np.array(ts), r)
+    for t, got in zip(ts, score):
+        _, want = mp_normal_laplace(mp, mu + t, mu, r, b)
+        assert abs(got - want) <= 1e-9 * abs(want), t
+
+
+@pytest.mark.parametrize("b,r", [(1.0, 1000.0000001), (1e-100, 1e-3),
+                                 (2.0, math.inf), (1.0, math.nan)])
+def test_laplace_smoothed_refuses_radii_past_the_ceiling(b, r):
+    with pytest.raises(PreconditionError, match="r/b = "):
+        Laplace(0.0, b)._smoothed(np.array([0.0, 1.0]), r)
+
+
 def test_laplace_smoothed_keeps_shape():
     base, r = Laplace(0.7, 2.0), 0.5
     u = base.sample(3 * 5000, RngSeed(4)) + 0.1
