@@ -11,8 +11,9 @@ callers form as samples of f plus lambda.
 or, as numpy's generators do, into the caller's C-contiguous float64
 `out`, with the same bits either way.  Each family has one draw path,
 `_draw_into`, which fills the vector it is given; a product fills each
-component's column in turn from one generator.  The sawtooth's
-rejection rounds run inside the caller's array.
+component's column in turn from one generator.  The sawtooth draws n
+normals into the caller's array, thins its negative ripple lobes there
+and refills the removed points from the positive lobes.
 
 Instances are frozen and hashable; downstream caches key on them
 directly.  Parameters are checked on construction: scales within
@@ -89,11 +90,6 @@ class Density1d:
         # fill the contiguous float64 vector `out` with draws from gen
         raise NotImplementedError
 
-    def _draw(self, gen: np.random.Generator, n: int) -> np.ndarray:
-        out = np.empty(n)
-        self._draw_into(gen, out)
-        return out
-
     def mean(self) -> float:
         raise NotImplementedError
 
@@ -131,9 +127,8 @@ class Density1d:
         """n draws from seed's generator, as a new array or written into
         `out`, a C-contiguous float64 array of shape (n,), and returned."""
         n = _sample_count(n)
-        if out is None:
-            return self._draw(seed.generator(), n)
-        self._draw_into(seed.generator(), _require_out(out, (n,)))
+        out = np.empty(n) if out is None else _require_out(out, (n,))
+        self._draw_into(seed.generator(), out)
         return out
 
     def iqr(self) -> float:
@@ -404,10 +399,19 @@ _SAWTOOTH_MIN_W = 1e-3
 
 
 def _tri_wave(t):
-    # odd triangle wave, period 2, slope +-1, peaks +-1/2 at half-integers;
-    # s - 2 floor(s/2) rounds the same exact value as np.mod(s, 2), once
+    # odd triangle wave, period 2, slope +-1, peaks +-1/2 at half-integers:
+    # |s - 2 floor(s/2) - 1| - 1/2 with s = t - 1/2, in place on two
+    # temporaries; s - 2 floor(s/2) rounds the same exact value as
+    # np.mod(s, 2), once
     s = t - 0.5
-    return np.abs(s - 2.0 * np.floor(0.5 * s) - 1.0) - 0.5
+    k = 0.5 * s
+    np.floor(k, out=k)
+    k *= 2.0
+    s -= k
+    s -= 1.0
+    np.abs(s, out=s)
+    s -= 0.5
+    return s
 
 
 def _tri_wave_integral(t):
@@ -481,64 +485,55 @@ class GaussianSawtooth(Density1d):
         return (-14.0, 14.0)
 
     def _draw_into(self, gen, out):
-        # Rejection from the Gaussian envelope m_env * phi.  The batch size
-        # depends only on the remaining count, so the candidate stream, and
-        # with it the accepted draws, is reproducible.  A round with k draws
-        # accepted draws its batch of normals in two calls, which give the
-        # numbers one call would: the first n - k straight into out[k:], the
-        # rest (batch > n - k) into a spill array.  The batch's uniforms
-        # follow them in the stream, one 64-bit word each, so they are drawn
-        # block by block as each block of out[k:] and then of the spill is
-        # tested.  Accepted candidates are compacted into out[k:] in place:
-        # a block's accepted values are gathered before they are written,
-        # and the write index never passes the read index.  Once n are
-        # accepted the words of the round's untested uniforms are skipped,
-        # not converted, so the generator ends where the whole batch would
-        # leave it (a product draws its next component from it).  The test
-        # u * m_env * phi(y) <= phi(y) + fl(w*slope * tri(y/w)) is decided
-        # per block.  |tri| <= 1/2 and rounding is monotone, so every ripple
-        # term lies in [-amp, amp] and the right side rounds into
-        # [fl(phi - amp), fl(phi + amp)]: a left side at or below the low
-        # end passes and one above the high end fails whatever the ripple.
-        # Only the band between, inside the ripple's support, needs the
-        # ripple; every decision, and so every draw, is the one the full
-        # test makes.
+        # Thinning and refill.  The ripple has zero mass, so it splits as
+        # ripple+ - ripple-, its positive and negative lobes, each of mass
+        # A = n_teeth * w * amp / 2.  Draw n normals into out; remove each
+        # point y in a negative lobe with probability ripple-(y) / phi(y)
+        # (at most amp / phi(1) < 0.83, since amp <= 0.2), which leaves
+        # density phi - ripple- and removes mass A; then overwrite each
+        # removed point with a draw from ripple+ / A.  Every position ends
+        # with density phi - ripple- + ripple+ = f, independently of the
+        # others.  The stream holds all n normals, then one uniform per
+        # point in a negative lobe, in index order, then three uniforms
+        # per removed point (the lobe, and two for its triangle), so the
+        # slices below bound the temporaries without changing a draw.  At
+        # slope 0 there are no lobes, and the draw is the normals alone.
+        gen.standard_normal(out=out)
+        if self.slope == 0.0:
+            return
         ws = self.w * self.slope
-        amp = 0.5 * ws
-        m_env = 1.0 + amp / float(_phi(1.0))
         edge = self.n_teeth * self.w
-        n = out.size
-        k = 0
-        while k < n:
-            batch = max(1024, int(1.2 * (n - k) * m_env) + 1)
-            gen.standard_normal(out=out[k:])
-            spill = gen.standard_normal(batch - (n - k))
-            tested = 0
-            for part in (out[k:], spill):
-                for start in range(0, part.size, _LOOKUP_BLOCK):
-                    y = part[start : start + _LOOKUP_BLOCK]
-                    tested += y.size
-                    # phi(y) and u * m_env * phi(y), in place, in _phi's order
-                    p = np.square(y)
-                    p *= -0.5
-                    np.exp(p, out=p)
-                    p /= _SQRT2PI
-                    lhs = gen.random(y.size)
-                    lhs *= m_env
-                    lhs *= p
-                    keep = lhs <= p
-                    in_band = lhs > p - amp
-                    in_band &= lhs <= p + amp
-                    in_band &= np.abs(y) <= edge
-                    band = np.flatnonzero(in_band)
-                    keep[band] = lhs[band] <= p[band] + ws * _tri_wave(y[band] / self.w)
-                    accepted = y[np.flatnonzero(keep)]
-                    take = min(n - k, accepted.size)
-                    out[k : k + take] = accepted[:take]
-                    k += take
-                    if k == n:
-                        gen.bit_generator.random_raw(batch - tested, output=False)
-                        return
+        removed = []
+        for start in range(0, out.size, _LOOKUP_BLOCK):
+            y = out[start : start + _LOOKUP_BLOCK]
+            idx = np.flatnonzero(np.abs(y) <= edge)
+            t = y[idx]
+            t /= self.w
+            ripple = _tri_wave(t)
+            ripple *= ws
+            neg = np.flatnonzero(ripple < 0.0)
+            idx = idx[neg]
+            # remove where u * phi(y) < ripple-(y) = -ripple(y), with phi
+            # in place in _phi's order
+            p = y[idx]
+            np.square(p, out=p)
+            p *= -0.5
+            np.exp(p, out=p)
+            p /= _SQRT2PI
+            p *= gen.random(idx.size)
+            removed.append(start + idx[p < -ripple[neg]])
+        # each removed point becomes a draw from ripple+ / A: one of the
+        # n_teeth positive lobes, u/w in (2j, 2j + 1), uniformly, then the
+        # lobe's triangle w * (2j + (U1 + U2) / 2)
+        removed = np.concatenate(removed)
+        unif = gen.random((removed.size, 3))
+        lobe = np.floor(unif[:, 0] * self.n_teeth)
+        lobe -= self.n_teeth // 2
+        tri = unif[:, 1] + unif[:, 2]
+        tri *= 0.5
+        tri += 2.0 * lobe
+        tri *= self.w
+        out[removed] = tri
 
     def mean(self):
         # int x*ripple dx = -int Ripple(x) dx by parts; the tooth-count
@@ -566,12 +561,16 @@ class GaussianSawtooth(Density1d):
     def _smoothed(self, u, r):
         # N(0, 1 + r^2) times (1 + R/N), with the smoothed ripple R and
         # its slope read from the cached grid; R is exactly 0 outside the
-        # grid, where N may underflow, so 1/N is capped to stay finite
+        # grid, where N may underflow, so 1/N is capped to stay finite.
+        # At slope 0, R = 0 everywhere and the Gaussian part is the answer
+        # (adding R's zeros would only turn a score of -0 into +0).
         shape = np.shape(u)
         u = np.asarray(u, dtype=float).ravel()
         var = 1.0 + r * r
         log_pdf = -0.5 * u * u / var - 0.5 * math.log(2.0 * math.pi * var)
         score = -u / var
+        if self.slope == 0.0:
+            return log_pdf.reshape(shape), score.reshape(shape)
         grid = _ripple_grid(self.w, self.slope, float(r))
         for start in range(0, u.size, _LOOKUP_BLOCK):
             sl = slice(start, start + _LOOKUP_BLOCK)

@@ -1,5 +1,6 @@
 """Two-stage 1-d estimator: collapse identity, init stage, coverage."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -11,6 +12,7 @@ from smoothloc import (
     EstimationError,
     Gaussian,
     GaussianMixture,
+    GaussianSawtooth,
     Laplace,
     PreconditionError,
     RngSeed,
@@ -223,6 +225,36 @@ def test_global_reference_run_frozen():
     assert rep.fisher_at_r == pytest.approx(0.9435282353018896, rel=1e-6)
     assert rep.theoretical_radius == pytest.approx(0.03380405876387601, rel=1e-6)
     assert abs(rep.lambda_hat) < 0.1
+
+
+# At slope 0 the sawtooth's smoothed score skips the ripple lookup, whose
+# table is all zeros there.  The estimates and the digest were frozen from
+# the step that still added those zeros, at n = 10^5 over six seeds.  A
+# score of exactly 0 now reads -0.0 where adding +0.0 gave +0.0, so the
+# digest drops the sign of zeros (x + 0.0); nothing else may change.
+FLAT_SAWTOOTH_LAMBDA_HAT = ("0x1.2e8c804c37262p-2", "0x1.3448813bde791p-2",
+                            "0x1.34ac04a4aaaadp-2", "0x1.37051e82cd5b7p-2",
+                            "0x1.2d44f7ed25f6fp-2", "0x1.30bba0bd42865p-2")
+FLAT_SAWTOOTH_SMOOTHED_DIGEST = (
+    "f88a8e5e91cb05a79df0c2816bcf06899f0dc18102c0e7bf175832b4739aa488")
+
+
+def test_flat_sawtooth_step_is_bitwise_the_zero_ripple_step():
+    saw0 = GaussianSawtooth(0.05, 0.0)
+    for seed, want in enumerate(FLAT_SAWTOOTH_LAMBDA_HAT, start=1):
+        x = saw0.sample(10**5, RngSeed(seed, 17))
+        x += 0.3
+        rep = global_mle_1d(saw0, x, Config1d(delta=0.1), RngSeed(seed, 18))
+        assert rep.lambda_hat.hex() == want, seed
+        assert rep.fisher_at_r.hex() == "0x1.ef54248170f1ep-1"
+    u = np.concatenate([np.linspace(-40, 40, 100_001),
+                        [0.0, -0.0, 1e-300, -1e-300]])
+    h = hashlib.sha256()
+    for r in (0.05, 0.183, 1.0):
+        log_pdf, score = saw0._smoothed(u, r)
+        h.update((log_pdf + 0.0).tobytes())
+        h.update((score + 0.0).tobytes())
+    assert h.hexdigest() == FLAT_SAWTOOTH_SMOOTHED_DIGEST
 
 
 def test_global_report_internal_consistency():

@@ -232,7 +232,9 @@ def test_coverage_r_override_plumbed():
 # 1-d studies generated before they ran in blocks: a run whose trial
 # count is not a multiple of the block size, coverage with r and
 # lambda-scale set, a run whose every row is an error, and a sawtooth
-# scan with an error cell and an n whose blocks hold one trial
+# scan with an error cell and an n whose blocks hold one trial.  The
+# sawtooth scan depends on the sampler's streams and is regenerated by
+# tests/refreeze.py.
 FROZEN_1D = [
     (run_coverage, dict(model_spec="laplace(0,1)", n=10_000, trials=37,
                         delta=0.1, seed=7), """\
@@ -308,7 +310,7 @@ summary,,,,,,,failure_rate=1 failures=0 errors=5 trials=5
                               trials=3, delta=0.1, seed=9), """\
 n,med_sqrt_n,r_star,fisher_at_r,median_abs_err,med_sqrt_n_local,n_local,trials,errors
 20,,,,,,,3,3
-100000,1.43760081,0.183123552,0.967852752,0.00454609294,1.15644241,64710,3,0
+100000,0.0781426844,0.183123552,0.967852752,0.000247108865,0.0628599492,64710,3,0
 """),
 ]
 
@@ -352,7 +354,9 @@ def test_coverage_hd_thread_invariance_and_reconcile():
 
 # coverage-hd CSVs frozen from the per-trial code that preceded trial
 # blocks: 37 trials (not a multiple of the block size), a mixed product
-# with eta and lambda-scale set, and a run whose every row is an error
+# with eta and lambda-scale set, and a run whose every row is an error.
+# The mixed product has a sawtooth column and is regenerated by
+# tests/refreeze.py.
 FROZEN_HD = [
     (dict(model_spec="product(laplace(0,1)^4)", n=500, trials=37, delta=0.1,
           r=0.5, seed=7), """\
@@ -400,19 +404,19 @@ summary,0.110638927,0.705503783,,failure_rate=0 failures=0 errors=0 trials=37
           n=400, trials=12, delta=0.1, r=0.5, seed=11, eta=0.4,
           lambda_scale=1.5), """\
 trial,err_norm,error_bound,within_flag,note
-0,0.0733880465,0.769288206,1,
-1,0.10504677,0.769288206,1,
-2,0.131044749,0.769288206,1,
-3,0.0700385967,0.769288206,1,
-4,0.0818115873,0.769288206,1,
-5,0.166951548,0.769288206,1,
-6,0.0991170576,0.769288206,1,
-7,0.132518925,0.769288206,1,
-8,0.0658474473,0.769288206,1,
-9,0.123490214,0.769288206,1,
-10,0.12068812,0.769288206,1,
-11,0.119341335,0.769288206,1,
-summary,0.112194052,0.769288206,,failure_rate=0 failures=0 errors=0 trials=12
+0,0.100566575,0.769288206,1,
+1,0.11499506,0.769288206,1,
+2,0.130666816,0.769288206,1,
+3,0.0922063364,0.769288206,1,
+4,0.1152052,0.769288206,1,
+5,0.171229546,0.769288206,1,
+6,0.0987372779,0.769288206,1,
+7,0.136173432,0.769288206,1,
+8,0.0731083984,0.769288206,1,
+9,0.144594128,0.769288206,1,
+10,0.127859717,0.769288206,1,
+11,0.107379969,0.769288206,1,
+summary,0.11510013,0.769288206,,failure_rate=0 failures=0 errors=0 trials=12
 """),
     (dict(model_spec="product(laplace(0,1)^4)", n=10, trials=5, delta=0.1,
           r=0.5, seed=8), """\

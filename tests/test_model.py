@@ -156,11 +156,11 @@ def test_sampler_fidelity_ks(model):
         assert res.statistic < 0.01
 
 
-# The sawtooth sampler draws its uniforms block by block behind each
-# round's normals, decides its rejection test per block, and skips the
-# ripple where it cannot change the outcome.  These pin its draws, bit for
-# bit, to the plain loop that draws each round's normals and then all its
-# uniforms in two calls and evaluates the full pdf on every candidate.
+# The sawtooth sampler draws n normals, removes points of the negative
+# lobes by thinning and overwrites each removed point with a draw from the
+# positive lobes, working in vectorised slices.  These pin its draws, bit
+# for bit, to a plain loop over the points, and the generator's end state
+# to where that loop leaves it.
 
 
 def _reference_tri_wave(t):
@@ -171,27 +171,29 @@ def _reference_phi(u):
     return np.exp(-0.5 * np.square(u)) / math.sqrt(2.0 * math.pi)
 
 
-def _reference_sawtooth_pdf(model, u):
-    out = _reference_phi(u)
-    inside = np.abs(u) <= model.n_teeth * model.w
-    out[inside] += model.w * model.slope * _reference_tri_wave(u[inside] / model.w)
-    return out
-
-
 def _reference_sawtooth_draw(model, gen, n):
-    amp = 0.5 * model.w * model.slope
-    m_env = 1.0 + amp / float(_reference_phi(1.0))
+    y = gen.standard_normal(n)
+    ripple = model.w * model.slope * _reference_tri_wave(y / model.w)
+    inside = np.abs(y) <= model.n_teeth * model.w
+    phi = _reference_phi(y)
+    # one coin per point of a negative lobe, in index order
+    removed = []
+    for i in range(n):
+        if inside[i] and ripple[i] < 0.0 and gen.random() * phi[i] < -ripple[i]:
+            removed.append(i)
+    # then, per removed point, a positive lobe u/w in (2j, 2j + 1) and a
+    # triangular variate in it
+    first = -(model.n_teeth // 2)
+    for i in removed:
+        u0, u1, u2 = gen.random(3)
+        j = first + math.floor(u0 * model.n_teeth)
+        y[i] = model.w * (2 * j + 0.5 * (u1 + u2))
+    return y
+
+
+def _draw(model, gen, n):
     out = np.empty(n)
-    k = 0
-    while k < n:
-        batch = max(1024, int(1.2 * (n - k) * m_env) + 1)
-        y = gen.standard_normal(batch)
-        u = gen.random(batch)
-        phi = _reference_phi(y)
-        accepted = y[u * m_env * phi <= _reference_sawtooth_pdf(model, y)]
-        take = min(n - k, accepted.shape[0])
-        out[k : k + take] = accepted[:take]
-        k += take
+    model._draw_into(gen, out)
     return out
 
 
@@ -199,18 +201,19 @@ def _reference_sawtooth_draw(model, gen, n):
                                      (0.02, 10.0), (0.3, 1.2), (0.5, 0.8)])
 def test_sawtooth_draws_match_reference_loop(w, slope):
     model = GaussianSawtooth(w, slope)
-    # one draw, under one block, across several blocks, a full phase-scan n
+    # one draw, under one slice, across several slices, a full phase-scan n
     for n, seed in ((1, 1), (1000, 2), (200_001, 3), (10**6, 4)):
-        got = model.sample(n, RngSeed(seed, 7))
-        want = _reference_sawtooth_draw(model, RngSeed(seed, 7).generator(), n)
-        assert np.array_equal(got, want), (w, slope, n)
+        gen, ref_gen = RngSeed(seed, 7).generator(), RngSeed(seed, 7).generator()
+        want = _reference_sawtooth_draw(model, ref_gen, n)
+        assert np.array_equal(model.sample(n, RngSeed(seed, 7)), want), (w, slope, n)
+        assert np.array_equal(_draw(model, gen, n), want), (w, slope, n)
+        assert (gen.bit_generator.random_raw()
+                == ref_gen.bit_generator.random_raw()), (w, slope, n)
 
 
-# blocks of 1000 and 1 uniforms: a block boundary inside and at the end of
-# every round.  Each generator must also be left where the reference
-# leaves it, the round's untested uniforms skipped (at n = 1000 the round
-# stops inside its short last block), since a product draws its next
-# component from it.
+# slices of 1000 and 1 points: a slice edge inside and at the end of every
+# draw, so the draws do not depend on the slice size.  A product draws its
+# next component from where the sawtooth leaves the generator.
 @pytest.mark.parametrize("block,sizes", [(1000, (1, 1000, 200_001)),
                                          (1, (1, 1000, 3000))])
 def test_sawtooth_draws_match_reference_loop_at_small_blocks(block, sizes,
@@ -220,7 +223,7 @@ def test_sawtooth_draws_match_reference_loop_at_small_blocks(block, sizes,
         model = GaussianSawtooth(w, slope)
         for n in sizes:
             gen, ref_gen = RngSeed(n, 8).generator(), RngSeed(n, 8).generator()
-            got = model._draw(gen, n)
+            got = _draw(model, gen, n)
             want = _reference_sawtooth_draw(model, ref_gen, n)
             assert np.array_equal(got, want), (block, w, slope, n)
             assert (gen.bit_generator.random_raw()
@@ -232,34 +235,75 @@ def test_sawtooth_draws_match_reference_loop_at_small_blocks(block, sizes,
 
 
 # sha256 of each model's draws at every n of the grid, each followed by
-# the generator's next raw word, from RngSeed(n, 15).  Frozen from the
-# sampler that drew each round's batch into its own array before copying
-# the accepted draws out; small n runs several rounds, and 1023-1025,
-# 65536 and 65537 put block and round edges at every offset.
+# the generator's next raw word, from RngSeed(n, 15).  Regenerated by
+# tests/refreeze.py; 1023-1025, 65536 and 65537 put slice edges at every
+# offset.
 SAWTOOTH_DIGEST_NS = (1, 2, 5, 100, 1000, 1023, 1024, 1025, 5000, 65536,
                       65537, 10**5, 10**6)
 SAWTOOTH_DIGESTS = {
-    (0.05, 4.0): "c50536223e345917d6a568b0bafe2efe9d5d779f8fa97022d0c902c4889c02d4",
-    (0.05, 0.0): "47161c5d1068f63a20d5fee927d0c5f662f3e93c721a50d8a507d62196dacbd3",
-    (0.1, 2.0): "1be1fc58da371646bbab2972543ffabf4c8217158aad4e8e664eed1d36c852e4",
-    (0.5, 0.8): "9f1a6169f08304400797c7394eba5e65745e9352dbd14f033e143575112beef4",
-    (0.001, 10.0): "d3a7c5c120d81290b7a029bbd054eec8b08b4af0b88dfdf6b99a0f227013752e",
+    (0.05, 4.0): "65c2b421f98ca4a5709f8b5e3e0ea9f7e97427d0de45052d50c45a35fc9480ad",
+    (0.05, 0.0): "412a407a6e26daa3e8a87f759122cfb0417f619e1adfe7a8256a78c9f94b86c2",
+    (0.1, 2.0): "6f1a0385863472bfecdab6693dc3b3f63d50dbd20632290a51c7ebb745ff9f4b",
+    (0.5, 0.8): "85c19bb78fb58f57d175a76b5e0cdffd697ef3955693cbe4235167616cc43d96",
+    (0.001, 10.0): "3d73460bd36eed1045537c7dc81bfd6200a65a6b111265cbcfbf852b5a51e6f9",
 }
 
 
-@pytest.mark.parametrize("w,slope", SAWTOOTH_DIGESTS, ids=str)
-def test_sawtooth_draws_match_frozen_digests(w, slope):
+def sawtooth_digest(w, slope):
     model = GaussianSawtooth(w, slope)
     h = hashlib.sha256()
     for n in SAWTOOTH_DIGEST_NS:
         gen = RngSeed(n, 15).generator()
-        h.update(model._draw(gen, n).tobytes())
+        h.update(_draw(model, gen, n).tobytes())
         h.update(np.uint64(gen.bit_generator.random_raw()).tobytes())
-    assert h.hexdigest() == SAWTOOTH_DIGESTS[(w, slope)]
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("w,slope", SAWTOOTH_DIGESTS, ids=str)
+def test_sawtooth_draws_match_frozen_digests(w, slope):
+    assert sawtooth_digest(w, slope) == SAWTOOTH_DIGESTS[(w, slope)]
+
+
+def test_flat_sawtooth_draw_is_the_standard_normal():
+    # slope 0 has no lobes: the draw is the normals alone, and leaves the
+    # generator where standard_normal leaves it
+    for n in (1, 1000, 70_000):
+        gen, ref_gen = RngSeed(n, 19).generator(), RngSeed(n, 19).generator()
+        got = _draw(GaussianSawtooth(0.05, 0.0), gen, n)
+        assert np.array_equal(got.view(np.int64),
+                              ref_gen.standard_normal(n).view(np.int64))
+        assert np.array_equal(gen.bit_generator.random_raw(5),
+                              ref_gen.bit_generator.random_raw(5))
+        assert np.array_equal(GaussianSawtooth(0.3, 0.0).sample(n, RngSeed(n, 19)),
+                              RngSeed(n, 19).generator().standard_normal(n))
+
+
+def _fine_bin_chi2_pvalue(model, x):
+    # bins of at most w/8 over [-1.2, 1.2], past the ripple's support,
+    # and one tail bin on each side, against the exact cdf
+    edges = np.linspace(-1.2, 1.2, math.ceil(2.4 / (model.w / 8)) + 1)
+    counts = np.bincount(np.searchsorted(edges, x, side="right"),
+                         minlength=edges.size + 1)
+    expected = x.size * np.diff(np.concatenate(([0.0], model.cdf(edges), [1.0])))
+    stat = np.sum(np.square(counts - expected) / expected)
+    return stats.chi2.sf(stat, counts.size - 1)
+
+
+# a sampler that thinned the positive lobes and refilled the negative ones
+# would draw from phi - ripple = f(-x), since the ripple is odd; its draws
+# are the negated draws, and the test must reject them
+@pytest.mark.parametrize("w,slope", [(0.05, 4.0), (0.01, 20.0), (0.3, 1.2),
+                                     (0.5, 0.8)])
+def test_sawtooth_draws_fine_bin_chi2(w, slope):
+    model = GaussianSawtooth(w, slope)
+    x = model.sample(4 * 10**6, RngSeed(20, 5))
+    assert _fine_bin_chi2_pvalue(model, x) > 1e-3
+    np.negative(x, out=x)
+    assert _fine_bin_chi2_pvalue(model, x) < 1e-6
 
 
 # in product(sawtooth^2) the second column starts where the first
-# component's rejection rounds leave the generator
+# component's draw leaves the generator
 @pytest.mark.parametrize("model", FAMILIES + [
     parse_model("product(gaussian(0,1),laplace(2,0.5))"),
     parse_model("product(sawtooth(0.05,4)^2)"),
