@@ -299,7 +299,9 @@ def gaussian_tail(sigma, delta: float) -> float:
 
 def _row_norms(chunk: np.ndarray, out: np.ndarray) -> np.ndarray:
     """2-norm of each row of a 2-d float chunk, into out.  The chunk is
-    squared in place and row-summed, the reduction np.linalg.norm uses."""
+    squared in place and row-summed, the reduction norm(axis=1) uses.
+    estimatorhd._row_norms rounds as the norm of one vector does (a dot),
+    as Weiszfeld's test did; one for both would change bits."""
     np.multiply(chunk, chunk, out=chunk)
     np.add.reduce(chunk, axis=1, out=out)
     return np.sqrt(out, out=out)

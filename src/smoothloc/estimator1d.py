@@ -10,8 +10,8 @@ The two stages never share samples: the Newton-step analysis needs the
 score evaluations to be independent of the initializer.  A block of
 trials is a (B, n) stack, one row and noise stream per trial, that
 global_mle_1d_rows runs in one call; global_mle_1d is its B = 1 case.
-The Newton step streams each row: it draws the row's noise, perturbs
-and scores it slice by slice, and averages the scores of the whole row.
+The perturb-and-score part of the Newton step is the high-d one at
+d = 1 (smoothing._perturbed_mean_scores); this module divides by I_r.
 """
 
 from __future__ import annotations
@@ -27,12 +27,11 @@ from .errors import (
     ConfigurationError,
     EstimationError,
     PreconditionError,
-    TailUnderflowError,
     require_finite_samples,
 )
-from .models import _LOOKUP_BLOCK, Density1d
+from .models import Density1d
 from .rng import RngSeed
-from .smoothing import SmoothedModel1d, fisher_1d, smoothed_score_1d
+from .smoothing import SmoothedModel1d, _perturbed_mean_scores, fisher_1d
 
 _TIE_TOL = 1e-12
 
@@ -84,32 +83,19 @@ class EstimateReport:
     n_used_init: int
 
 
-def _local_step(engine: SmoothedModel1d, x: np.ndarray, lambda1: float,
-                seed: RngSeed) -> float:
-    """local_mle_1d on checked samples, with the engine of its radius.
-
-    The row is perturbed and scored in _LOOKUP_BLOCK slices, each slice's
-    noise drawn from the one stream in turn.  That gives the bits of the
-    whole row perturbed and scored at once, with temporaries one slice
-    long.
-    """
-    gen = seed.generator()
-    scores = np.empty(x.shape)
-    try:
-        for start in range(0, x.size, _LOOKUP_BLOCK):
-            sl = slice(start, start + _LOOKUP_BLOCK)
-            # x + r * noise - lambda1, in place
-            pts = gen.standard_normal(x[sl].shape)
-            pts *= engine.r
-            pts += x[sl]
-            pts -= lambda1
-            scores[sl] = smoothed_score_1d(engine, pts)
-    except TailUnderflowError as exc:
-        raise EstimationError(
-            f"smoothed score underflowed at perturbed sample {exc.x} "
-            f"(r={engine.r}, lambda1={lambda1}); initialization is likely far off"
-        ) from exc
-    return lambda1 - float(np.mean(scores)) / fisher_1d(engine)
+def _local_rows(engine: SmoothedModel1d, x: np.ndarray, lambda1: np.ndarray,
+                seeds) -> list:
+    """local_mle_1d on each row of (B, n) checked samples from (B,) starts,
+    row b's noise from seeds[b]: per row the estimate or its EstimationError."""
+    means, firsts = _perturbed_mean_scores((engine,), x[:, :, None],
+                                           lambda1[:, None], seeds)
+    fisher = fisher_1d(engine)
+    return [
+        float(lam - mean[0] / fisher) if first is None else EstimationError(
+            f"smoothed score underflowed at perturbed sample {first[1]} "
+            f"(r={engine.r}, lambda1={lam}); initialization is likely far off")
+        for lam, mean, first in zip(lambda1, means, firsts)
+    ]
 
 
 def local_mle_1d(base: Density1d, r: float, samples, lambda1: float,
@@ -126,7 +112,11 @@ def local_mle_1d(base: Density1d, r: float, samples, lambda1: float,
     if x.ndim != 1 or x.size == 0:
         raise PreconditionError("samples must be a nonempty 1-d sequence")
     require_finite_samples(x)
-    return _local_step(SmoothedModel1d(base, r), x, lambda1, seed)
+    hat = _local_rows(SmoothedModel1d(base, r), x[None],
+                      np.array([lambda1], dtype=float), [seed])[0]
+    if isinstance(hat, Exception):
+        raise hat
+    return hat
 
 
 @lru_cache(maxsize=None)
@@ -207,9 +197,9 @@ def global_mle_1d_rows(base: Density1d, samples: np.ndarray, cfg: Config1d,
                        seeds) -> list:
     """global_mle_1d on each row of a (B, n) stack of finite samples.
 
-    Row b uses seeds[b] as global_mle_1d uses its seed; rows are scored
-    one call each, so temporaries stay one row long.  The checks, split,
-    r* and I_{r*} are shared: a failing check raises for the whole block.
+    Row b uses seeds[b] as global_mle_1d uses its seed; the local step
+    adds one copy of the local split, scored in place.  The checks,
+    split, r* and I_{r*} are shared: a failing check raises for the block.
     Returns per row an EstimateReport or that row's EstimationError.
     """
     n = samples.shape[1]
@@ -240,24 +230,20 @@ def global_mle_1d_rows(base: Density1d, samples: np.ndarray, cfg: Config1d,
     fisher = fisher_1d(engine)
     n_local = n - n_init
     radius = math.sqrt(2.0 * log_term / (n_local * fisher))
-    reports = []
     starts = _quantile_rows(base, samples[:, :n_init], alpha)
-    for x, lambda1, seed in zip(samples, starts, seeds):
-        try:
-            lambda_hat = _local_step(engine, x[n_init:], lambda1, seed)
-        except EstimationError as err:
-            reports.append(err)
-            continue
-        reports.append(EstimateReport(
-            lambda_hat=float(lambda_hat),
+    hats = _local_rows(engine, samples[:, n_init:], starts, seeds)
+    return [
+        hat if isinstance(hat, Exception) else EstimateReport(
+            lambda_hat=hat,
             lambda_initial=float(lambda1),
             r_used=float(r_star),
             fisher_at_r=float(fisher),
             theoretical_radius=float(radius),
             n_used_local=int(n_local),
             n_used_init=int(n_init),
-        ))
-    return reports
+        )
+        for hat, lambda1 in zip(hats, starts)
+    ]
 
 
 def global_mle_1d(base: Density1d, samples, cfg: Config1d,

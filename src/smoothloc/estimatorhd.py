@@ -8,8 +8,9 @@ heavy-tail-robust initial vector, then hands the rest to the local stage.
 Both stages work on a block of trials: a (B, n, d) stack of sample
 sets, one row per trial, each row with its own noise stream.  Weiszfeld
 advances every row's bucket means together and freezes each row when
-its own test stops it; the score is one evaluation per coordinate over
-the whole block; the step is I_R^{-1} times each row's mean score.  A
+its own test stops it; the perturbed block is scored in place, per
+coordinate in slices (smoothing._perturbed_mean_scores, the 1-d step's
+path too); the step is I_R^{-1} times each row's mean score.  A
 row gets the same numbers, bit for bit, as it would alone, and one
 row's score underflow becomes that row's error, never the block's.
 The single-trial functions are the B = 1 case.  What the rows share
@@ -43,7 +44,8 @@ from .rng import RngSeed
 from .smoothing import (
     FisherMatrix,
     SmoothedModelHd,
-    _smoothed_score_rows,
+    _coord_engines,
+    _perturbed_mean_scores,
     fisher_hd,
 )
 
@@ -123,10 +125,10 @@ def m_norm(x, M) -> float:
     x = np.asarray(x, dtype=float)
     M = np.asarray(M, dtype=float)
     _require_norm_matrix(M)
-    return m_norm_unchecked(x, M)
+    return _m_norm(x, M)
 
 
-def m_norm_unchecked(x: np.ndarray, M: np.ndarray) -> float:
+def _m_norm(x: np.ndarray, M: np.ndarray) -> float:
     """m_norm for an M that has already been checked."""
     return math.sqrt(max(float(x @ M @ x), 0.0))
 
@@ -136,7 +138,9 @@ def _bucket_count(delta: float, multiplier: float) -> int:
 
 
 def _row_norms(a: np.ndarray) -> np.ndarray:
-    """2-norm of each row, rounded as np.linalg.norm rounds one (a dot)."""
+    """2-norm of each row, rounded as np.linalg.norm rounds one (a dot),
+    as Weiszfeld's per-row test did.  concentration._row_norms rounds as
+    norm(axis=1) does (square, sum); one for both would change bits."""
     return np.sqrt((a[:, None, :] @ a[:, :, None])[:, 0, 0])
 
 
@@ -223,15 +227,6 @@ def geometric_median_of_means(
     return _gmom_rows(x[None], k)[0]
 
 
-def _bad_init(exc: Exception, r: float) -> EstimationError:
-    err = EstimationError(
-        f"smoothed score underflowed ({exc.x}, r={r}); "
-        "initialization is likely far off"
-    )
-    err.__cause__ = exc
-    return err
-
-
 def _local_rows(engine: SmoothedModelHd, fisher_inv: np.ndarray, x: np.ndarray,
                 lambda1: np.ndarray, seeds) -> tuple[np.ndarray, list]:
     """local_mle_hd on each row of (B, n, d) samples from (B, d) starts.
@@ -240,17 +235,12 @@ def _local_rows(engine: SmoothedModelHd, fisher_inv: np.ndarray, x: np.ndarray,
     and, per row, the EstimationError of a score underflow (or None);
     an erring row's estimate is meaningless.
     """
-    pts = np.empty(x.shape)
-    for b, seed in enumerate(seeds):
-        seed.generator().standard_normal(out=pts[b])
-    # x + r * noise - lambda1, in place: the same roundings, no temporaries
-    pts *= engine.r
-    pts += x
-    pts -= lambda1[:, None, :]
-    scores, underflows = _smoothed_score_rows(engine, pts)
-    errors = [None if exc is None else _bad_init(exc, engine.r) for exc in underflows]
+    means, firsts = _perturbed_mean_scores(_coord_engines(engine), x, lambda1, seeds)
+    errors = [None if first is None else EstimationError(
+        f"smoothed score underflowed (coordinate {first[0]} value {first[1]}, "
+        f"r={engine.r}); initialization is likely far off") for first in firsts]
     # I_R^{-1} @ mean as one matrix-vector product per row
-    step = (fisher_inv @ scores.mean(axis=1)[:, :, None])[:, :, 0]
+    step = (fisher_inv @ means[:, :, None])[:, :, 0]
     return lambda1 - step, errors
 
 

@@ -35,7 +35,7 @@ from .errors import (
     TailUnderflowError,
 )
 from .estimator1d import Config1d, global_mle_1d_rows
-from .estimatorhd import ConfigHd, global_mle_hd_rows, m_norm_unchecked
+from .estimatorhd import ConfigHd, _m_norm, global_mle_hd_rows
 from .models import (Density1d, GaussianSawtooth, ProductDensity, parse_model,
                      require_resolvable_shift)
 from .rng import RngSeed
@@ -408,7 +408,7 @@ def run_coverage_hd(model_spec: str, n: int, trials: int, delta: float,
     def row(t: int, lam, x, rep) -> tuple:
         if isinstance(rep, str):
             return (t, None, None, None, rep)
-        err = m_norm_unchecked(rep.lambda_hat - lam, M)
+        err = _m_norm(rep.lambda_hat - lam, M)
         within = err <= rep.m_norm_error_bound
         return (t, err, rep.m_norm_error_bound, int(within), "")
 

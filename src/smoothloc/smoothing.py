@@ -10,10 +10,10 @@ itself (Density1d._smoothed): Gaussian components keep their form
 with variance sigma^2 + r^2, Laplace becomes the normal-Laplace density
 (one erfc and one erfcx per point), and the sawtooth is N(0, 1 + r^2)
 plus its smoothed ripple, read from a cached grid of exact values and
-derivatives.  Pointwise evaluation takes that one path for every batch
-size, and each point's value depends on that point alone: a long row
-scored in slices (as the 1-d local step scores its row) gives the bits
-of the whole row scored at once.  Integrals over x (Fisher information,
+derivatives.  Each point's value depends on that point alone, so one
+scorer, _score_in_place, serves both local steps and the public scores:
+it scores a (B, n, d) stack in place in _LOOKUP_BLOCK-point slices, with
+the bits of one whole call.  Integrals over x (Fisher information,
 expected shifted scores) use composite Gauss-Legendre panels whose
 edges sit on every kink of the base density and at geometric multiples
 of r around it, where f_r changes on the scale r.
@@ -33,8 +33,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import PreconditionError, TailUnderflowError
-from .models import Density1d, ProductDensity
+from .errors import PreconditionError, TailUnderflowError, require_finite_samples
+from .models import _LOOKUP_BLOCK, Density1d, ProductDensity
 from .rng import RngSeed
 
 _LOG_UNDERFLOW = math.log(1e-300)
@@ -69,6 +69,7 @@ def _log_pdf_and_score(m: SmoothedModel1d, x):
 
 def smoothed_pdf_1d(m: SmoothedModel1d, x):
     """f_r at x, clamped to 0 where it falls below 1e-300."""
+    require_finite_samples(x)
     log_pdf, _ = _log_pdf_and_score(m, x)
     den = np.where(log_pdf > _LOG_UNDERFLOW, np.exp(log_pdf), 0.0)
     return float(den) if np.ndim(x) == 0 else den
@@ -80,20 +81,53 @@ def smoothed_score_1d(m: SmoothedModel1d, x):
     Raises TailUnderflowError at the first point where f_r < 1e-300:
     the score is not trusted that far into the tail.
     """
-    log_pdf, score = _log_pdf_and_score(m, x)
-    first = _first_underflows(np.reshape(x, (1, -1)), log_pdf.reshape(1, -1))[0]
+    x = np.asarray(x, dtype=float)
+    require_finite_samples(x)
+    score = x.reshape(1, -1, 1).copy()
+    first = _score_in_place((m,), score)[0]
     if first is not None:
-        raise TailUnderflowError(first, m.r)
-    return float(score) if np.ndim(x) == 0 else score
+        raise TailUnderflowError(first[1], m.r)
+    return float(score[0, 0, 0]) if x.ndim == 0 else score.reshape(x.shape)
 
 
-def _first_underflows(x: np.ndarray, log_pdf: np.ndarray) -> list:
-    """Per row of 2-d x, the first point where f_r < 1e-300, or None."""
-    bad = ~(log_pdf > _LOG_UNDERFLOW)
-    firsts = [None] * x.shape[0]
-    for b in np.flatnonzero(bad.any(axis=1)):
-        firsts[b] = float(x[b][bad[b]][0])
+def _score_in_place(engines, pts: np.ndarray, coords=None) -> list:
+    """Write over a C-contiguous (B, n, d) point stack its smoothed scores.
+
+    engines[j] scores coordinate j, for j in `coords` (default all), in
+    _LOOKUP_BLOCK-point slices of the flattened B*n axis.  Returns per row
+    (j, x), the first point x with f_r < 1e-300 in the first such j, or None.
+    """
+    rows, n, d = pts.shape
+    flat = pts.reshape(rows * n, d)
+    firsts = [None] * rows
+    for j in range(d) if coords is None else coords:
+        for start in range(0, flat.shape[0], _LOOKUP_BLOCK):
+            col = flat[start : start + _LOOKUP_BLOCK, j]
+            log_pdf, score = _log_pdf_and_score(engines[j], col)
+            bad = np.flatnonzero(~(log_pdf > _LOG_UNDERFLOW))
+            rows_bad, first_bad = np.unique((start + bad) // n, return_index=True)
+            for b, i in zip(rows_bad, bad[first_bad]):
+                if firsts[b] is None:
+                    firsts[b] = (j, float(col[i]))
+            col[...] = score
     return firsts
+
+
+def _perturbed_mean_scores(engines, x: np.ndarray, lambda1: np.ndarray,
+                           seeds) -> tuple[np.ndarray, list]:
+    """Per row of (B, n, d) samples, the mean score of x[b] + r * noise -
+    lambda1[b], its noise drawn from seeds[b] into one buffer that is
+    then scored in place; and _score_in_place's first underflows.
+    """
+    pts = np.empty(x.shape)
+    for b, seed in enumerate(seeds):
+        seed.generator().standard_normal(out=pts[b])
+    # x + r * noise - lambda1, in place: the same roundings, no temporaries
+    pts *= engines[0].r
+    pts += x
+    pts -= lambda1[:, None, :]
+    firsts = _score_in_place(engines, pts)
+    return pts.mean(axis=1), firsts
 
 
 def _panel_rule(m: SmoothedModel1d, shift: float = 0.0):
@@ -183,30 +217,15 @@ def smoothed_score_hd(m: SmoothedModelHd, x, coords=None):
     pts = np.atleast_2d(x)
     if pts.shape[1] != m.dim:
         raise PreconditionError(f"expected points of dimension {m.dim}")
-    out, errors = _smoothed_score_rows(m, pts[None], coords)
-    if errors[0] is not None:
-        raise errors[0]
-    return out[0, 0] if squeeze else out[0]
-
-
-def _smoothed_score_rows(m: SmoothedModelHd, pts: np.ndarray, coords=None):
-    """s_R over a (B, n, d) stack of point sets, one row per set.
-
-    Each coordinate is one evaluation over all B*n points.  Returns the
-    scores and, per row, the TailUnderflowError that smoothed_score_hd
-    raises on that row alone (at its first coordinate, in `coords`
-    order, with a point where f_r < 1e-300), or None.
-    """
-    engines = _coord_engines(m)
-    out = np.zeros_like(pts)
-    errors = [None] * pts.shape[0]
-    for j in range(m.dim) if coords is None else coords:
-        col = pts[:, :, j]
-        log_pdf, out[:, :, j] = _log_pdf_and_score(engines[j], col)
-        for b, first in enumerate(_first_underflows(col, log_pdf)):
-            if errors[b] is None and first is not None:
-                errors[b] = TailUnderflowError(f"coordinate {j} value {first}", m.r)
-    return out, errors
+    require_finite_samples(pts)
+    # a coordinate scored twice in place would score its own scores
+    cols = list(dict.fromkeys(range(m.dim) if coords is None else coords))
+    score = np.zeros((1, *pts.shape))
+    score[0][:, cols] = pts[:, cols]
+    first = _score_in_place(_coord_engines(m), score, cols)[0]
+    if first is not None:
+        raise TailUnderflowError(f"coordinate {first[0]} value {first[1]}", m.r)
+    return score[0, 0] if squeeze else score[0]
 
 
 def fisher_hd(m: SmoothedModelHd) -> FisherMatrix:

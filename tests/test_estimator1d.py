@@ -95,7 +95,7 @@ def test_streamed_local_step_is_the_whole_row_step(monkeypatch):
     far[2300] = 1e4
     point = float(far[2300] + r * noise[2300] - lam1)
     for block in (1 << 16, 1000):
-        monkeypatch.setattr(estimator1d, "_LOOKUP_BLOCK", block)
+        monkeypatch.setattr("smoothloc.smoothing._LOOKUP_BLOCK", block)
         assert local_mle_1d(base, r, x, lam1, seed) == whole
         with pytest.raises(EstimationError) as err:
             local_mle_1d(base, r, far, lam1, seed)

@@ -4,6 +4,7 @@ import logging
 import math
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -328,6 +329,41 @@ def test_block_row_underflow_is_that_rows_error():
     assert str(errors[1]) == str(far.value)
     for b in (0, 2):
         assert np.array_equal(hats[b], local_mle_hd(LAP4, 0.5, local_x[b], starts[b], seeds[b]))
+
+
+def test_local_rows_underflow_is_the_first_coordinate_then_the_first_point(
+        monkeypatch):
+    # in 1000-point slices, row 1 (flat points 2500..4999) underflows in
+    # coordinate 2 in an early slice and in coordinate 0 in a later one:
+    # the error names coordinate 0's point, as the whole-stack scan did
+    # (this text is that scan's)
+    monkeypatch.setattr("smoothloc.smoothing._LOOKUP_BLOCK", 1000)
+    engine = SmoothedModelHd(LAP4, 0.5)
+    x = LAP4.sample(3 * 2500, RngSeed(40)).reshape(3, 2500, 4)
+    x[1, 100, 2] = 1e4
+    x[1, 2300, 0] = -1e4
+    seeds = [RngSeed(41).derive(b) for b in range(3)]
+    _, errors = _local_rows(engine, fisher_hd(engine).inverse(), x,
+                            np.zeros((3, 4)), seeds)
+    assert [e is None for e in errors] == [True, False, True]
+    assert str(errors[1]) == (
+        "smoothed score underflowed (coordinate 0 value -9999.355744414755, "
+        "r=0.5); initialization is likely far off")
+
+
+def test_local_step_memory_is_one_and_a_half_samples():
+    # beside its sample the step holds one perturbed copy of the local
+    # split, scored in place, and one slice of temporaries
+    x = LAP4.sample(10**6, RngSeed(3))
+    cfg = ConfigHd(delta=0.1, r=0.5)
+    global_mle_hd(LAP4, x[:1000], cfg, RngSeed(4))  # fill the Fisher caches
+    tracemalloc.start()
+    try:
+        global_mle_hd(LAP4, x, cfg, RngSeed(4))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * x.nbytes
 
 
 # -- norms and bounds ----------------------------------------------------------

@@ -334,7 +334,7 @@ def test_1d_frozen_reference_in_small_local_slices(case, monkeypatch):
     # and the sawtooth n = 10^5 rows (64 710 points) among them
     import smoothloc.estimator1d as estimator1d
 
-    monkeypatch.setattr(estimator1d, "_LOOKUP_BLOCK", 1000)
+    monkeypatch.setattr("smoothloc.smoothing._LOOKUP_BLOCK", 1000)
     run, kw, text = FROZEN_1D[case]
     assert run(threads=1, **kw).to_csv() == text
 
@@ -442,6 +442,17 @@ def test_coverage_hd_frozen_reference(case, monkeypatch):
         monkeypatch.setattr(harness, "_BLOCK_TRIALS", block)
         for threads in (1, 2):
             assert run_coverage_hd(threads=threads, **kw).to_csv() == text
+
+
+@pytest.mark.parametrize("block", [1000, 7])
+@pytest.mark.parametrize("case", range(len(FROZEN_HD)))
+def test_coverage_hd_frozen_reference_in_small_local_slices(case, block, monkeypatch):
+    # the local step scores each coordinate of the (B, n, d) stack in
+    # slices of its flattened B*n axis; 1000- and 7-point slices end
+    # inside rows and cross from one row into the next
+    monkeypatch.setattr("smoothloc.smoothing._LOOKUP_BLOCK", block)
+    kw, text = FROZEN_HD[case]
+    assert run_coverage_hd(threads=1, **kw).to_csv() == text
 
 
 def test_coverage_hd_rows_independent_of_run_length():

@@ -330,6 +330,28 @@ def test_score_tail_underflow():
     assert smoothed_pdf_1d(m, 900.0) == 0.0  # pdf clamps, score refuses
 
 
+def _hd_points(x):
+    x = np.asarray(x, dtype=float)
+    return np.stack([np.zeros_like(x), x], axis=-1)
+
+
+@pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf,
+                               [0.5, math.nan, 1.0]],
+                         ids=["nan", "inf", "-inf", "array-with-nan"])
+@pytest.mark.parametrize("score", [
+    lambda x: smoothed_score_1d(SmoothedModel1d(Laplace(0, 1), 0.3), x),
+    lambda x: smoothed_pdf_1d(SmoothedModel1d(Laplace(0, 1), 0.3), x),
+    lambda x: smoothed_score_hd(
+        SmoothedModelHd(parse_model("product(laplace(0,1)^2)"), 0.3),
+        _hd_points(x)),
+], ids=["score_1d", "pdf_1d", "score_hd"])
+def test_non_finite_points_rejected(score, x):
+    # a non-finite point is bad input, not a far tail: unchecked, the
+    # scores would report an underflow at nan and the pdf a density of 0
+    with pytest.raises(PreconditionError, match="must be finite"):
+        score(x)
+
+
 # -- fisher information ----------------------------------------------------
 
 
@@ -429,6 +451,17 @@ def test_score_hd_importance_sampling_oracle():
         resid = z * w - ratio * w
         se = (np.std(resid, ddof=1) * math.sqrt(n) / np.sum(w)) / r**2
         assert abs(s[j] - est) < 3 * se
+
+
+def test_score_hd_coords_scores_each_listed_coordinate_once():
+    # scores are written over their points, so a coordinate listed twice
+    # must not be scored again from its own score
+    base = parse_model("product(laplace(0,1),gaussian(0,2),laplace(1,1))")
+    m = SmoothedModelHd(base, 0.5)
+    x = np.array([[0.3, -1.0, 2.0], [1.5, 0.2, -0.7]])
+    want = smoothed_score_hd(m, x)
+    want[:, 1] = 0.0
+    assert np.array_equal(smoothed_score_hd(m, x, coords=(2, 0, 2)), want)
 
 
 # -- diagnostics -------------------------------------------------------------
