@@ -25,7 +25,6 @@ from smoothloc import (
     smoothed_score_1d,
     SmoothedModel1d,
 )
-from smoothloc import estimator1d
 from smoothloc.estimator1d import _quantile_rows, global_mle_1d_rows
 
 LOG20 = math.log(20.0)

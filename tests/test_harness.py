@@ -332,8 +332,6 @@ def test_1d_frozen_reference(case, monkeypatch):
 def test_1d_frozen_reference_in_small_local_slices(case, monkeypatch):
     # 1000-point slices split every local row, the laplace n = 10^4 rows
     # and the sawtooth n = 10^5 rows (64 710 points) among them
-    import smoothloc.estimator1d as estimator1d
-
     monkeypatch.setattr("smoothloc.smoothing._LOOKUP_BLOCK", 1000)
     run, kw, text = FROZEN_1D[case]
     assert run(threads=1, **kw).to_csv() == text

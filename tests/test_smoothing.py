@@ -1,6 +1,8 @@
 """Smoothed density/score/Fisher engine against independent oracles."""
 
+import hashlib
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -305,6 +307,57 @@ def test_laplace_smoothed_keeps_shape():
         one_log, one_score = base._smoothed(u[i], r)
         assert np.shape(one_log) == np.shape(one_score) == ()
         assert one_log == log_pdf[i] and one_score == score[i]
+
+
+def laplace_plus_noise(base, r, n, seed):
+    # the points a local step scores: base draws plus N(0, r^2) noise
+    noise = np.random.default_rng(seed).standard_normal(n)
+    return base.sample(n, RngSeed(seed)) + r * noise
+
+
+# sha256 of log_pdf.tobytes() + score.tobytes() per k, over both (b, mu)
+LAPLACE_SMOOTHED_DIGESTS = {
+    1e-4: "5150f6d0022c38d57904cf00ab075b360ba887f946e0e5aec52903e9baafb1bc",
+    0.25: "f39cda78bea0f3340605811f2e10e7ea35cbb3eb9fdda98dd6d15d122665a679",
+    1.0: "d362922780e613fb7e36ad073136643620a01a9fd004f80ec30a907753c3fe85",
+    36.0: "b31fbddbe9bf1ee6754df76680462214bd38b9a8993b677a8f806907baf65e6b",
+    37.0: "8741761e0a25dc37f96565b91682a9ed346834f6e1db695c76307d2507bb4755",
+    100.0: "dbd144fd8e86d3124e6cf8c455dc5a83137d89a6250306a6eac3ab8a67d73ac6",
+    1e3: "9357b045575848077cef7317cd002eafd9a1b15b6c3a70d465c50ae311220894",
+}
+
+
+@pytest.mark.parametrize("k", list(LAPLACE_SMOOTHED_DIGESTS))
+def test_laplace_smoothed_bits_are_frozen(k):
+    # every value and every sign of zero, across the z = k + 40 cap and the
+    # deep branch (k > 36.8), on fixed points and 10^5 noisy draws
+    h = hashlib.sha256()
+    for b, mu in ((1.0, 0.0), (2.0, 0.7)):
+        r = k * b
+        ts = [0.0, -0.0, 1e-8, r * r / b, 0.3, 5.0, 30.0, 700.0, 1e6, 1e308]
+        fixed = mu + np.array(ts + [-t for t in ts])
+        base = Laplace(mu, b)
+        u = np.concatenate([fixed, laplace_plus_noise(base, r, 10**5, 12)])
+        log_pdf, score = base._smoothed(u, r)
+        h.update(log_pdf.tobytes() + score.tobytes())
+    assert h.hexdigest() == LAPLACE_SMOOTHED_DIGESTS[k]
+
+
+@pytest.mark.parametrize("k,slices", [(0.25, 5.5), (100.0, 8.5)])
+def test_laplace_smoothed_holds_five_slices(k, slices):
+    # t (then its sign and the score), log_scale (then log_pdf), z, x1 and
+    # x2 are the call's five arrays; at k = 100 every point is in the deep
+    # branch, whose mask and masked temporaries add about two more
+    base = Laplace(0.0, 1.0)
+    u = laplace_plus_noise(base, k, 1 << 15, 5)
+    base._smoothed(u, k)  # load scipy.special
+    tracemalloc.start()
+    try:
+        base._smoothed(u, k)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= slices * u.nbytes
 
 
 @pytest.mark.parametrize("r", [1e-4, 0.25])
