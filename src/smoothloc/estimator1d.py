@@ -106,8 +106,6 @@ def local_mle_1d(base: Density1d, r: float, samples, lambda1: float,
     `seed`, so the perturbed points are distributed exactly per the
     smoothed density and the population score identities apply verbatim.
     """
-    if not r > 0:
-        raise PreconditionError("smoothing radius r must be > 0")
     x = np.asarray(samples, dtype=float)
     if x.ndim != 1 or x.size == 0:
         raise PreconditionError("samples must be a nonempty 1-d sequence")

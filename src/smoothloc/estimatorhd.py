@@ -252,8 +252,6 @@ def local_mle_hd(base: ProductDensity, r: float, samples, lambda1,
     smoothed score at the recentered points, and subtracts
     I_R^{-1} times that average from lambda1.
     """
-    if not r > 0:
-        raise PreconditionError("smoothing radius r must be > 0")
     x = np.asarray(samples, dtype=float)
     lambda1 = np.asarray(lambda1, dtype=float)
     if x.ndim != 2 or x.shape[0] == 0:

@@ -5,7 +5,9 @@ Gaussian plus sawtooth ripple) and their products, each with exact pdf,
 cdf, quantile, and sampler, and the exact log-density and score of the
 shape convolved with N(0, r^2).  A model is the base f, located by its
 own parameters; the unknown shift lambda belongs to the data, which
-callers form as samples of f plus lambda.
+callers form as samples of f plus lambda.  The sawtooth is the standard
+Gaussian plus one ripple evaluation.  parse_model and format_model read
+the two-parameter families from one table, _FAMILIES.
 
 `sample(n, seed, out=None)` draws from seed's generator into a new array
 or, as numpy's generators do, into the caller's C-contiguous float64
@@ -20,18 +22,17 @@ directly.  Parameters are checked on construction: scales within
 [1e-100, 1e100], a location that float64 resolves at its scale, and a
 sawtooth tooth width of at least 1e-3.
 
-scipy.special (ndtr, ndtri, erfc, erfcx, logsumexp) is imported on the
-first call that needs it, not with this module, so that importing
-smoothloc needs numpy alone.
+scipy.special (ndtr, ndtri, erfc, erfcx, logsumexp, and smoothing's
+roots_legendre) is imported by _special() on the first call that needs
+it, not with this module, so that importing smoothloc needs numpy alone.
 """
 
 from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import lru_cache
-from typing import Sequence
 
 import numpy as np
 
@@ -466,25 +467,25 @@ class GaussianSawtooth(Density1d):
         # whole teeth on each side of 0 inside [-1, 1]
         return int(math.floor(1.0 / self.w + 1e-9))
 
+    def _ripple_at(self, flat_u):
+        """(idx, ripple): the indices of the 1-d flat_u inside the ripple's
+        narrow support, and the ripple there."""
+        idx = np.flatnonzero(np.abs(flat_u) <= self.n_teeth * self.w)
+        t = flat_u[idx]
+        t /= self.w
+        ripple = _tri_wave(t)
+        ripple *= self.w * self.slope
+        return idx, ripple
+
     def _ripple(self, u):
         u = np.asarray(u, dtype=float)
         out = np.zeros(u.shape)
-        self._add_ripple(u.reshape(-1), out.reshape(-1))
+        idx, ripple = self._ripple_at(u.reshape(-1))
+        out.reshape(-1)[idx] += ripple  # 0 + ripple: a -0 ripple reads +0
         return out
-
-    def _add_ripple(self, flat_u, flat_out):
-        # ripple support is narrow; evaluate the wave only inside it
-        inside = np.abs(flat_u) <= self.n_teeth * self.w
-        if np.any(inside):
-            flat_out[inside] += self.w * self.slope * _tri_wave(flat_u[inside] / self.w)
 
     def _pdf(self, u):
-        u = np.asarray(u, dtype=float)
-        # asarray: for 0-d u, _phi returns a numpy scalar, whose reshape
-        # is a copy that would drop the ripple
-        out = np.asarray(_phi(u))
-        self._add_ripple(u.reshape(-1), out.reshape(-1))
-        return out
+        return _STANDARD_NORMAL._pdf(u) + self._ripple(u)
 
     def _cdf(self, u):
         u = np.asarray(u, dtype=float)
@@ -495,7 +496,7 @@ class GaussianSawtooth(Density1d):
             * self.slope
             * (_tri_wave_integral(t) - _tri_wave_integral(np.float64(self.n_teeth)))
         )
-        return _special().ndtr(u) + ripple_mass
+        return _STANDARD_NORMAL._cdf(u) + ripple_mass
 
     def _bracket(self):
         return (-14.0, 14.0)
@@ -517,16 +518,10 @@ class GaussianSawtooth(Density1d):
         gen.standard_normal(out=out)
         if self.slope == 0.0:
             return
-        ws = self.w * self.slope
-        edge = self.n_teeth * self.w
         removed = []
         for start in range(0, out.size, _LOOKUP_BLOCK):
             y = out[start : start + _LOOKUP_BLOCK]
-            idx = np.flatnonzero(np.abs(y) <= edge)
-            t = y[idx]
-            t /= self.w
-            ripple = _tri_wave(t)
-            ripple *= ws
+            idx, ripple = self._ripple_at(y)
             neg = np.flatnonzero(ripple < 0.0)
             idx = idx[neg]
             # remove where u * phi(y) < ripple-(y) = -ripple(y), with phi
@@ -582,9 +577,7 @@ class GaussianSawtooth(Density1d):
         # (adding R's zeros would only turn a score of -0 into +0).
         shape = np.shape(u)
         u = np.asarray(u, dtype=float).ravel()
-        var = 1.0 + r * r
-        log_pdf = -0.5 * u * u / var - 0.5 * math.log(2.0 * math.pi * var)
-        score = -u / var
+        log_pdf, score = _STANDARD_NORMAL._smoothed(u, r)
         if self.slope == 0.0:
             return log_pdf.reshape(shape), score.reshape(shape)
         grid = _ripple_grid(self.w, self.slope, float(r))
@@ -599,7 +592,7 @@ class GaussianSawtooth(Density1d):
         return log_pdf.reshape(shape), score.reshape(shape)
 
     def quadrature_extent(self):
-        return (0.0, 0.0, 1.0)
+        return _STANDARD_NORMAL.quadrature_extent()
 
 
 # The smoothed ripple R = ripple * N(0, r^2) is sum_j D_j (u - b_j)_+ * N(0, r^2)
@@ -777,6 +770,12 @@ def _require_resolved(name: str, size: float, spread: float, of: str) -> None:
             f"of {of} {spread:.6g}")
 
 
+# The sawtooth's Gaussian part, built once the checks above exist.  Its forms
+# at mu = 0, sigma = 1 round as the plain ones: u - 0.0 and u / 1.0 are u,
+# and 1.0**2 + r*r is 1 + r*r.
+_STANDARD_NORMAL = Gaussian(0.0, 1.0)
+
+
 def require_resolvable_shift(base, shift, key: str) -> None:
     """Raise PreconditionError naming `key` unless float64 resolves the
     samples of `base` shifted by `shift`, a float or a vector (its
@@ -792,6 +791,11 @@ def require_resolvable_shift(base, shift, key: str) -> None:
 #   product(SPEC^d) | product(SPEC,SPEC,...)
 #
 # Whitespace-insensitive; numbers decimal or scientific.
+
+# The two-parameter families by spec name.  The parser passes a spec's
+# arguments to the class in order, and format_model writes its dataclass
+# fields in that order.
+_FAMILIES = {"gaussian": Gaussian, "laplace": Laplace, "sawtooth": GaussianSawtooth}
 
 _TOKEN_RE = re.compile(
     r"(?P<ws>\s+)"
@@ -865,15 +869,8 @@ class _Parser:
         if kind != "name":
             raise ModelSpecError(f"expected a family name, found {name or 'end of input'!r}",
                                  position=pos)
-        if name == "gaussian":
-            mu, sigma = self._two_args()
-            return self._validated(Gaussian, pos, mu, sigma)
-        if name == "laplace":
-            mu, b = self._two_args()
-            return self._validated(Laplace, pos, mu, b)
-        if name == "sawtooth":
-            w, delta = self._two_args()
-            return self._validated(GaussianSawtooth, pos, w, delta)
+        if name in _FAMILIES:
+            return self._validated(_FAMILIES[name], pos, *self._two_args())
         if name == "mixture":
             return self._mixture(pos)
         if name == "product":
@@ -906,38 +903,29 @@ class _Parser:
             m, s = self._two_args()
             means.append(m)
             sigmas.append(s)
-            kind, text, _ = self.peek()
-            if kind == "sym" and text == "+":
-                self.take()
-                continue
-            break
+            if self.peek()[:2] != ("sym", "+"):
+                break
+            self.take()
         self.expect("sym", ")")
         return self._validated(GaussianMixture, pos,
                                tuple(weights), tuple(means), tuple(sigmas))
 
+    def _component(self, pos):
+        # a product's factor; an error names `pos`, the product or the comma
+        comp = self.density()
+        if isinstance(comp, ProductDensity):
+            raise ModelSpecError("product components must be one-dimensional", position=pos)
+        return comp
+
     def _product(self, pos):
         self.expect("sym", "(")
-        first = self.density()
-        if isinstance(first, ProductDensity):
-            raise ModelSpecError("product components must be one-dimensional", position=pos)
-        kind, text, _ = self.peek()
-        if kind == "sym" and text == "^":
+        comps = [self._component(pos)]
+        if self.peek()[:2] == ("sym", "^"):
             self.take()
-            d = self.integer()
-            self.expect("sym", ")")
-            return ProductDensity((first,) * d)
-        comps = [first]
-        while True:
-            kind, text, cpos = self.peek()
-            if kind == "sym" and text == ",":
-                self.take()
-                comp = self.density()
-                if isinstance(comp, ProductDensity):
-                    raise ModelSpecError("product components must be one-dimensional",
-                                         position=cpos)
-                comps.append(comp)
-                continue
-            break
+            comps *= self.integer()
+        else:
+            while self.peek()[:2] == ("sym", ","):
+                comps.append(self._component(self.take()[2]))
         self.expect("sym", ")")
         return ProductDensity(tuple(comps))
 
@@ -965,12 +953,10 @@ def format_model(model) -> str:
         if len(comps) > 1 and all(c == comps[0] for c in comps[1:]):
             return f"product({format_model(comps[0])}^{len(comps)})"
         return "product(" + ",".join(format_model(c) for c in comps) + ")"
-    if isinstance(model, Gaussian):
-        return f"gaussian({_fmt_num(model.mu)},{_fmt_num(model.sigma)})"
-    if isinstance(model, Laplace):
-        return f"laplace({_fmt_num(model.mu)},{_fmt_num(model.b)})"
-    if isinstance(model, GaussianSawtooth):
-        return f"sawtooth({_fmt_num(model.w)},{_fmt_num(model.slope)})"
+    for name, family in _FAMILIES.items():
+        if isinstance(model, family):
+            args = ",".join(_fmt_num(getattr(model, f.name)) for f in fields(family))
+            return f"{name}({args})"
     if isinstance(model, GaussianMixture):
         terms = [
             f"{_fmt_num(w)}*gaussian({_fmt_num(m)},{_fmt_num(s)})"

@@ -34,7 +34,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import PreconditionError, TailUnderflowError, require_finite_samples
-from .models import _LOOKUP_BLOCK, Density1d, ProductDensity
+from .models import _LOOKUP_BLOCK, Density1d, ProductDensity, _special
 from .rng import RngSeed
 
 _LOG_UNDERFLOW = math.log(1e-300)
@@ -44,9 +44,7 @@ _UNIFORM_PANELS = 128
 @lru_cache(maxsize=None)
 def _gauss_legendre():
     """The 20-point Gauss-Legendre nodes and weights on [-1, 1]."""
-    from scipy import special
-
-    return special.roots_legendre(20)
+    return _special().roots_legendre(20)
 
 
 def _require_radius(r) -> None:
@@ -211,15 +209,23 @@ class FisherMatrix:
 
 
 def smoothed_score_hd(m: SmoothedModelHd, x, coords=None):
-    """s_R(x) per coordinate; `coords` restricts evaluation (others 0)."""
+    """s_R(x) per coordinate; `coords`, integers in [0, dim), restricts
+    evaluation (others 0)."""
     x = np.asarray(x, dtype=float)
     squeeze = x.ndim == 1
     pts = np.atleast_2d(x)
     if pts.shape[1] != m.dim:
         raise PreconditionError(f"expected points of dimension {m.dim}")
     require_finite_samples(pts)
+    cols = range(m.dim) if coords is None else list(coords)
+    # a negative index would alias a listed coordinate
+    bad = [j for j in cols
+           if not (isinstance(j, (int, np.integer)) and 0 <= j < m.dim)]
+    if bad:
+        raise PreconditionError(
+            f"coords must be integers in [0, {m.dim}), got {bad}")
     # a coordinate scored twice in place would score its own scores
-    cols = list(dict.fromkeys(range(m.dim) if coords is None else coords))
+    cols = list(dict.fromkeys(cols))
     score = np.zeros((1, *pts.shape))
     score[0][:, cols] = pts[:, cols]
     first = _score_in_place(_coord_engines(m), score, cols)[0]

@@ -69,8 +69,10 @@ def test_local_step_quantile_within_radius():
 
 
 def test_local_step_validation():
-    with pytest.raises(PreconditionError):
-        local_mle_1d(Gaussian(0, 1), 0.0, [1.0, 2.0], 0.0, RngSeed(1))
+    for r in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(PreconditionError,
+                           match=r"^smoothing radius r must be finite and > 0"):
+            local_mle_1d(Gaussian(0, 1), r, [1.0, 2.0], 0.0, RngSeed(1))
     with pytest.raises(PreconditionError):
         local_mle_1d(Gaussian(0, 1), 0.5, [], 0.0, RngSeed(1))
 

@@ -287,6 +287,10 @@ def test_local_hd_validation():
         local_mle_hd(LAP4, 0.5, np.zeros((0, 4)), np.zeros(4), RngSeed(1))
     with pytest.raises(PreconditionError):
         local_mle_hd(LAP4, 0.5, np.zeros((5, 4)), np.zeros(3), RngSeed(1))
+    for r in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(PreconditionError,
+                           match=r"^smoothing radius r must be finite and > 0"):
+            local_mle_hd(LAP4, r, np.zeros((5, 4)), np.zeros(4), RngSeed(1))
 
 
 def test_block_row_underflow_is_that_rows_error():

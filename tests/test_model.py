@@ -264,6 +264,41 @@ def test_sawtooth_draws_match_frozen_digests(w, slope):
     assert sawtooth_digest(w, slope) == SAWTOOTH_DIGESTS[(w, slope)]
 
 
+# sha256 of pdf, cdf and _ripple, then _smoothed's log_pdf and score at
+# each radius of SAWTOOTH_SMOOTHED_RADII, per (w, slope), over a grid, the
+# ripple's edges and far points, and the same points one at a time.
+SAWTOOTH_SMOOTHED_RADII = (0.01, 0.14, 1.0)
+SAWTOOTH_FORM_DIGESTS = {
+    (1e-3, 100.0): "fbd0a9e45d2b8280d358817e73fc24cf4655baa990ab5d110a82e3ec62a87246",
+    (0.05, 4.0): "9a1d5701ece40f085c019414bd0c356dee6c25af17f100edb00e72903beac28c",
+    (0.05, 0.0): "d9ac9d53819ceefdb587c541bf4422f01b81100d276011ee5fce6c6a12297b0f",
+    (0.5, 0.8): "073d58d35aba4be9df1658eb8d47323e037f9e06c8ac780f00a33f2297097d66",
+}
+
+
+def sawtooth_form_digest(w, slope):
+    model = GaussianSawtooth(w, slope)
+    edge = model.n_teeth * w
+    ends = [0.0, edge, np.nextafter(edge, np.inf), np.nextafter(edge, 0.0),
+            1e300]
+    u = np.concatenate([np.linspace(-6.0, 6.0, 120_001), ends,
+                        [-v for v in ends]])
+    h = hashlib.sha256()
+    with np.errstate(over="ignore"):
+        for form in (model._pdf, model._cdf, model._ripple):
+            h.update(form(u).tobytes())
+            h.update(np.array([form(np.float64(v)) for v in u[-10:]]).tobytes())
+        for r in SAWTOOTH_SMOOTHED_RADII:
+            for values in model._smoothed(u, r):
+                h.update(values.tobytes())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("w,slope", SAWTOOTH_FORM_DIGESTS, ids=str)
+def test_sawtooth_forms_match_frozen_digests(w, slope):
+    assert sawtooth_form_digest(w, slope) == SAWTOOTH_FORM_DIGESTS[(w, slope)]
+
+
 def test_flat_sawtooth_draw_is_the_standard_normal():
     # slope 0 has no lobes: the draw is the normals alone, and leaves the
     # generator where standard_normal leaves it
@@ -457,6 +492,25 @@ def test_grammar_errors_carry_position():
                 "product(gaussian(0,1)^0)", "mixture(1.5*gaussian(0,1))"):
         with pytest.raises(ModelSpecError):
             parse_model(bad)
+
+
+@pytest.mark.parametrize("spec,message,position", [
+    ("gauss(0,1)", "unknown family 'gauss'", 0),
+    ("product(product(gaussian(0,1)^2),laplace(0,1))",
+     "product components must be one-dimensional", 0),
+    ("product(laplace(0,1),product(gaussian(0,1)^2))",
+     "product components must be one-dimensional", 20),
+    ("product(gaussian(0,1)^0)", "expected a positive integer", 22),
+    ("product(gaussian(0,1)^2,laplace(0,1))", "expected ')', found ','", 23),
+    ("gaussian(0,1)x", "trailing input 'x'", 13),
+    ("mixture(0.5*gaussian(0,1)+0.5*laplace(0,1))",
+     "mixture components must be gaussian", 30),
+])
+def test_grammar_error_text_and_position(spec, message, position):
+    with pytest.raises(ModelSpecError) as exc:
+        parse_model(spec)
+    assert str(exc.value) == f"{message} (at position {position})"
+    assert exc.value.position == position
 
 
 # A number that overflows to inf was accepted: gaussian(1e400,1) then failed

@@ -517,6 +517,19 @@ def test_score_hd_coords_scores_each_listed_coordinate_once():
     assert np.array_equal(smoothed_score_hd(m, x, coords=(2, 0, 2)), want)
 
 
+# A negative index aliased a listed coordinate: coords=[3, -1] scored
+# column 3 twice, returning s(s(x)).  Out-of-range and float entries raised
+# a bare IndexError.
+@pytest.mark.parametrize("coords,bad", [([3, -1], "[-1]"), ([4], "[4]"),
+                                        ([-5], "[-5]"), ([1.0], "[1.0]")])
+def test_score_hd_coords_must_be_indices(coords, bad):
+    m = SmoothedModelHd(parse_model("product(laplace(0,1)^4)"), 0.5)
+    x = np.array([[0.1, -0.4, 0.9, 1.2]])
+    with pytest.raises(PreconditionError) as exc:
+        smoothed_score_hd(m, x, coords=coords)
+    assert str(exc.value) == f"coords must be integers in [0, 4), got {bad}"
+
+
 # -- diagnostics -------------------------------------------------------------
 
 
