@@ -11,7 +11,9 @@ score evaluations to be independent of the initializer.  A block of
 trials is a (B, n) stack, one row and noise stream per trial, that
 global_mle_1d_rows runs in one call; global_mle_1d is its B = 1 case.
 The perturb-and-score part of the Newton step is the high-d one at
-d = 1 (smoothing._perturbed_mean_scores); this module divides by I_r.
+d = 1 (smoothing._perturbed_mean_scores), done in place in each row's
+local split; this module divides by I_r.  The public functions hand it
+a copy of the local split, so a caller's samples are never written.
 """
 
 from __future__ import annotations
@@ -86,7 +88,8 @@ class EstimateReport:
 def _local_rows(engine: SmoothedModel1d, x: np.ndarray, lambda1: np.ndarray,
                 seeds) -> list:
     """local_mle_1d on each row of (B, n) checked samples from (B,) starts,
-    row b's noise from seeds[b]: per row the estimate or its EstimationError."""
+    row b's noise from seeds[b]: per row the estimate or its EstimationError.
+    x is the step's workspace and holds the scores on return."""
     means, firsts = _perturbed_mean_scores((engine,), x[:, :, None],
                                            lambda1[:, None], seeds)
     fisher = fisher_1d(engine)
@@ -106,7 +109,7 @@ def local_mle_1d(base: Density1d, r: float, samples, lambda1: float,
     `seed`, so the perturbed points are distributed exactly per the
     smoothed density and the population score identities apply verbatim.
     """
-    x = np.asarray(samples, dtype=float)
+    x = np.array(samples, dtype=float)  # a copy: the step consumes it
     if x.ndim != 1 or x.size == 0:
         raise PreconditionError("samples must be a nonempty 1-d sequence")
     require_finite_samples(x)
@@ -191,16 +194,11 @@ def _minimal_n(cfg: Config1d) -> int:
     return int(math.ceil(max(n_guard, n_q, 2.0)))
 
 
-def global_mle_1d_rows(base: Density1d, samples: np.ndarray, cfg: Config1d,
-                       seeds) -> list:
-    """global_mle_1d on each row of a (B, n) stack of finite samples.
-
-    Row b uses seeds[b] as global_mle_1d uses its seed; the local step
-    adds one copy of the local split, scored in place.  The checks,
-    split, r* and I_{r*} are shared: a failing check raises for the block.
-    Returns per row an EstimateReport or that row's EstimationError.
-    """
-    n = samples.shape[1]
+def _split(cfg: Config1d, n: int) -> tuple[float, int]:
+    """(q, n_init) for rows of n samples: the quantile half-width and the
+    initialization split, a row's first n_init samples; the rest of the
+    row is its local split.  Too small an n raises ConfigurationError,
+    naming the least n that passes."""
     log_term = math.log(2.0 / cfg.delta)
     if n < cfg.min_n_factor * log_term:
         raise ConfigurationError(
@@ -219,17 +217,26 @@ def global_mle_1d_rows(base: Density1d, samples: np.ndarray, cfg: Config1d,
             f"sample budget too small: initialization split {n_init} of {n} "
             f"leaves no usable stage; need n >= {_minimal_n(cfg)}"
         )
+    return q, n_init
+
+
+def _split_rows(base: Density1d, q: float, init: np.ndarray, local: np.ndarray,
+                cfg: Config1d, seeds) -> list:
+    """global_mle_1d_rows on the rows' (B, n_init) initialization and
+    (B, n_local) local splits, with _split's q; the step consumes `local`."""
+    n_init, n_local = init.shape[1], local.shape[1]
+    log_term = math.log(2.0 / cfg.delta)
     alpha = choose_alpha(base, q, cfg.alpha_grid_step)
     if cfg.r_override is not None:
         r_star = cfg.r_override
     else:
+        n = n_init + n_local
         r_star = cfg.r_star_multiplier * (log_term / n) ** 0.125 * base.iqr()
     engine = SmoothedModel1d(base, r_star)
     fisher = fisher_1d(engine)
-    n_local = n - n_init
     radius = math.sqrt(2.0 * log_term / (n_local * fisher))
-    starts = _quantile_rows(base, samples[:, :n_init], alpha)
-    hats = _local_rows(engine, samples[:, n_init:], starts, seeds)
+    starts = _quantile_rows(base, init, alpha)
+    hats = _local_rows(engine, local, starts, seeds)
     return [
         hat if isinstance(hat, Exception) else EstimateReport(
             lambda_hat=hat,
@@ -242,6 +249,21 @@ def global_mle_1d_rows(base: Density1d, samples: np.ndarray, cfg: Config1d,
         )
         for hat, lambda1 in zip(hats, starts)
     ]
+
+
+def global_mle_1d_rows(base: Density1d, samples: np.ndarray, cfg: Config1d,
+                       seeds) -> list:
+    """global_mle_1d on each row of a (B, n) stack of finite samples.
+
+    Row b uses seeds[b] as global_mle_1d uses its seed.  The stack is
+    the step's workspace: each row's local split is perturbed and scored
+    in place, and holds its scores on return.  The checks, split, r* and
+    I_r* are shared: a failing check raises for the block.  Returns per
+    row an EstimateReport or that row's EstimationError.
+    """
+    q, n_init = _split(cfg, samples.shape[1])
+    return _split_rows(base, q, samples[:, :n_init], samples[:, n_init:], cfg,
+                       seeds)
 
 
 def global_mle_1d(base: Density1d, samples, cfg: Config1d,
@@ -258,7 +280,9 @@ def global_mle_1d(base: Density1d, samples, cfg: Config1d,
     if x.ndim != 1:
         raise PreconditionError("samples must be a 1-d sequence")
     require_finite_samples(x)
-    rep = global_mle_1d_rows(base, x[None], cfg, [seed])[0]
+    q, n_init = _split(cfg, x.size)
+    rep = _split_rows(base, q, x[None, :n_init], x[None, n_init:].copy(), cfg,
+                      [seed])[0]
     if isinstance(rep, Exception):
         raise rep
     return rep

@@ -8,13 +8,14 @@ heavy-tail-robust initial vector, then hands the rest to the local stage.
 Both stages work on a block of trials: a (B, n, d) stack of sample
 sets, one row per trial, each row with its own noise stream.  Weiszfeld
 advances every row's bucket means together and freezes each row when
-its own test stops it; the perturbed block is scored in place, per
-coordinate in slices (smoothing._perturbed_mean_scores, the 1-d step's
+its own test stops it; each row's local split is perturbed and scored
+in place, in slices (smoothing._perturbed_mean_scores, the 1-d step's
 path too); the step is I_R^{-1} times each row's mean score.  A
 row gets the same numbers, bit for bit, as it would alone, and one
 row's score underflow becomes that row's error, never the block's.
-The single-trial functions are the B = 1 case.  What the rows share
-(the checks, the split, I_R^{-1}, the bound) is computed once per
+The single-trial functions are the B = 1 case, run on a copy of the
+local split, so a caller's samples are never written.  What the rows
+share (the checks, the split, I_R^{-1}, the bound) is computed once per
 block.
 
 Error reports use the M-norm sqrt(x^T M x) and the deviation bound
@@ -233,7 +234,8 @@ def _local_rows(engine: SmoothedModelHd, fisher_inv: np.ndarray, x: np.ndarray,
 
     Row b draws its noise from seeds[b].  Returns the (B, d) estimates
     and, per row, the EstimationError of a score underflow (or None);
-    an erring row's estimate is meaningless.
+    an erring row's estimate is meaningless.  x is the step's workspace
+    and holds the scores on return.
     """
     means, firsts = _perturbed_mean_scores(_coord_engines(engine), x, lambda1, seeds)
     errors = [None if first is None else EstimationError(
@@ -252,7 +254,7 @@ def local_mle_hd(base: ProductDensity, r: float, samples, lambda1,
     smoothed score at the recentered points, and subtracts
     I_R^{-1} times that average from lambda1.
     """
-    x = np.asarray(samples, dtype=float)
+    x = np.array(samples, dtype=float)  # a copy: the step consumes it
     lambda1 = np.asarray(lambda1, dtype=float)
     if x.ndim != 2 or x.shape[0] == 0:
         raise PreconditionError("samples must be a nonempty (n, d) array")
@@ -295,21 +297,12 @@ def theoretical_bound_hd(fisher: FisherMatrix, M, n: int, delta: float,
     return _bound(_t_eigenvalues(fisher.inverse(), M), n, delta, eta)
 
 
-def global_mle_hd_rows(base: ProductDensity, samples: np.ndarray,
-                       cfg: ConfigHd, seeds) -> list:
-    """global_mle_hd on each row of a (B, n, d) stack of finite samples.
-
-    Row b uses seeds[b] as global_mle_hd uses its seed.  The first
-    max(ceil(eta/10 * n), 2k) samples of a row feed the
-    median-of-means initializer (k buckets need at least 2 points
-    each); the rest feed the local stage.  The deviation bound uses the
-    total sample count.  The checks, the split, I_R^{-1} and the bound
-    are shared by the rows: a ConfigurationError (r^2 exceeds ||Sigma||,
-    or no sample is left for the local stage) raises for the whole
-    block.  Returns per row a ReportHd, or the EstimationError that
-    row's score underflow raised.
-    """
-    n = samples.shape[1]
+def _split(base: ProductDensity, cfg: ConfigHd, n: int) -> tuple[int, int]:
+    """(k, n_init) for rows of n samples: the median-of-means bucket count
+    and the initialization split, a row's first max(ceil(eta/10 * n), 2k)
+    samples (k buckets need at least 2 points each); the rest of the row
+    is its local split.  Raises ConfigurationError when r^2 exceeds
+    ||Sigma|| or no sample is left for the local split."""
     sigma_norm = max(c.variance() for c in base.components)  # Sigma is diagonal
     if cfg.r * cfg.r > sigma_norm + 1e-12:
         raise ConfigurationError(
@@ -322,27 +315,55 @@ def global_mle_hd_rows(base: ProductDensity, samples: np.ndarray,
             f"sample budget too small: initialization takes {n_init} of {n}; "
             f"need at least {n_init + 1}"
         )
+    return k, n_init
+
+
+def _split_rows(base: ProductDensity, k: int, init: np.ndarray,
+                local: np.ndarray, cfg: ConfigHd, seeds) -> list:
+    """global_mle_hd_rows on the rows' (B, n_init, d) initialization and
+    (B, n_local, d) local splits, with _split's k; the step consumes
+    `local`."""
+    n_init = init.shape[1]
+    n = n_init + local.shape[1]
     engine = SmoothedModelHd(base, cfg.r)
     fisher = fisher_hd(engine)
     fisher_inv = fisher.inverse()
     t_evals = _t_eigenvalues(fisher_inv, cfg.norm_matrix(base.dim))
     bound = _bound(t_evals, n, cfg.delta, cfg.eta)
     d_eff = float(np.sum(t_evals) / np.max(np.abs(t_evals)))
-    lambda1 = _gmom_rows(samples[:, :n_init], k)
-    lambda_hat, errors = _local_rows(engine, fisher_inv, samples[:, n_init:],
-                                     lambda1, [s.derive(2) for s in seeds])
+    lambda1 = _gmom_rows(init, k)
+    lambda_hat, errors = _local_rows(engine, fisher_inv, local, lambda1,
+                                     [s.derive(2) for s in seeds])
     return [
         err if err is not None else ReportHd(
             lambda_hat=hat,
-            lambda_initial=init,
+            lambda_initial=start,
             m_norm_error_bound=bound,
             fisher=fisher,
             d_eff_T=d_eff,
             n_used_local=n - n_init,
             n_used_init=n_init,
         )
-        for err, hat, init in zip(errors, lambda_hat, lambda1)
+        for err, hat, start in zip(errors, lambda_hat, lambda1)
     ]
+
+
+def global_mle_hd_rows(base: ProductDensity, samples: np.ndarray,
+                       cfg: ConfigHd, seeds) -> list:
+    """global_mle_hd on each row of a (B, n, d) stack of finite samples.
+
+    Row b uses seeds[b] as global_mle_hd uses its seed.  _split divides
+    each row between the median-of-means initializer and the local
+    stage; the deviation bound uses the total sample count.  The stack
+    is the step's workspace: each row's local split is perturbed and
+    scored in place, and holds its scores on return.  The checks, the
+    split, I_R^{-1} and the bound are shared by the rows: a
+    ConfigurationError raises for the whole block.  Returns per row a
+    ReportHd, or the EstimationError that row's score underflow raised.
+    """
+    k, n_init = _split(base, cfg, samples.shape[1])
+    return _split_rows(base, k, samples[:, :n_init], samples[:, n_init:], cfg,
+                       seeds)
 
 
 def global_mle_hd(base: ProductDensity, samples, cfg: ConfigHd,
@@ -358,7 +379,9 @@ def global_mle_hd(base: ProductDensity, samples, cfg: ConfigHd,
     if dim != base.dim:
         raise PreconditionError(f"samples have dimension {dim}, model has {base.dim}")
     require_finite_samples(x)
-    rep = global_mle_hd_rows(base, x[None], cfg, [seed])[0]
+    k, n_init = _split(base, cfg, x.shape[0])
+    rep = _split_rows(base, k, x[None, :n_init], x[None, n_init:].copy(), cfg,
+                      [seed])[0]
     if isinstance(rep, Exception):
         raise rep
     return rep

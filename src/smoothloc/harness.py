@@ -34,7 +34,7 @@ from .errors import (
     PreconditionError,
     TailUnderflowError,
 )
-from .estimator1d import Config1d, global_mle_1d_rows
+from .estimator1d import Config1d, _split, global_mle_1d_rows
 from .estimatorhd import ConfigHd, _m_norm, global_mle_hd_rows
 from .models import (Density1d, GaussianSawtooth, ProductDensity, parse_model,
                      require_resolvable_shift)
@@ -269,15 +269,17 @@ _BLOCK_COORDS = 1 << 17
 
 def _run_blocks(estimate_rows, base, cfg, n: int, seeds, lambda_scale: float,
                 threads: int, row: Callable, dim=None) -> list:
-    """row(t, lam, x, rep) for each trial t in order, in blocks.
+    """row(t, lam, rep) for each trial t in order, in blocks.
 
     Trial t draws its shift (a float, or a `dim`-vector) from
     seeds[t].derive(1) and its n samples from seeds[t].derive(2),
     straight into its row of the block's stack, where the shift is
     added in place.
     estimate_rows runs once per block on its (B, n[, dim]) stack, with
-    seeds[t].derive(3) for trial t's row.  rep is the trial's report or
-    "error: ..." note: a whole-block failure is every row's note.  A
+    seeds[t].derive(3) for trial t's row, and owns the stack: the local
+    step leaves its scores there.  rep is the trial's entry of what
+    estimate_rows returns, or an "error: ..." note in place of an
+    exception: a whole-block failure is every row's note.  A
     lambda_scale past float64 resolution of the model's samples is
     rejected up front.
     """
@@ -299,9 +301,9 @@ def _run_blocks(estimate_rows, base, cfg, n: int, seeds, lambda_scale: float,
             reps = estimate_rows(base, x, cfg, [ts.derive(3) for ts in block_seeds])
         except _TRIAL_ERRORS as e:
             reps = [e] * len(block_seeds)
-        return [row(first + b, lam, sample,
+        return [row(first + b, lam,
                     f"error: {rep}" if isinstance(rep, Exception) else rep)
-                for b, (lam, sample, rep) in enumerate(zip(lams, x, reps))]
+                for b, (lam, rep) in enumerate(zip(lams, reps))]
 
     blocks = _map_trials(block, -(-len(seeds) // size), threads)
     return [r for rows in blocks for r in rows]
@@ -337,8 +339,8 @@ def run_fisher_sweep(model_spec: str, r_grid) -> CsvTable:
     if not isinstance(base, Density1d):
         raise PreconditionError("fisher sweep needs a one-dimensional model")
     grid = [float(r) for r in r_grid]
-    if not grid or any(r <= 0.0 for r in grid):
-        raise PreconditionError("r grid must be non-empty and positive")
+    if not grid:
+        raise PreconditionError("r grid must be non-empty")
     rows = [(r, fisher_1d(SmoothedModel1d(base, r))) for r in grid]
     return _table(("r", "fisher"), rows)
 
@@ -365,16 +367,25 @@ def run_coverage(model_spec: str, n: int, trials: int, delta: float,
     root = RngSeed(int(seed))
     base_mean = base.mean()
 
-    def row(t: int, lam, x, rep) -> tuple:
+    def estimate_rows(base, x, cfg, seeds) -> list:
+        # the baseline's sample mean reads each local split before the
+        # step perturbs and scores it in place
+        means = [float(np.mean(local)) for local in x[:, _split(cfg, n)[1]:]]
+        return [rep if isinstance(rep, Exception) else (rep, mean)
+                for rep, mean in zip(global_mle_1d_rows(base, x, cfg, seeds),
+                                     means)]
+
+    def row(t: int, lam, rep) -> tuple:
         if isinstance(rep, str):
             return (t, lam, None, None, None, None, None, rep)
+        rep, mean = rep
         abs_err = abs(rep.lambda_hat - lam)
-        baseline = abs(float(np.mean(x[rep.n_used_init:])) - base_mean - lam)
+        baseline = abs(mean - base_mean - lam)
         within = abs_err <= rep.theoretical_radius
         return (t, lam, rep.lambda_hat, abs_err, baseline,
                 rep.theoretical_radius, int(within), "")
 
-    rows = _run_blocks(global_mle_1d_rows, base, cfg, n,
+    rows = _run_blocks(estimate_rows, base, cfg, n,
                        [root.derive(t) for t in range(trials)],
                        lambda_scale, threads, row)
     ok, note = _tally(rows)
@@ -405,7 +416,7 @@ def run_coverage_hd(model_spec: str, n: int, trials: int, delta: float,
     M = cfg.norm_matrix(base.dim)
     root = RngSeed(int(seed))
 
-    def row(t: int, lam, x, rep) -> tuple:
+    def row(t: int, lam, rep) -> tuple:
         if isinstance(rep, str):
             return (t, None, None, None, rep)
         err = _m_norm(rep.lambda_hat - lam, M)
@@ -444,7 +455,7 @@ def run_sawtooth_phase(w: float, slope: float, n_grid, trials: int,
     root = RngSeed(int(seed))
     rows = []
 
-    def row(t: int, lam, x, rep):
+    def row(t: int, lam, rep):
         return rep if isinstance(rep, str) else (abs(rep.lambda_hat - lam), rep)
 
     for i_n, n in enumerate(n_grid):

@@ -11,12 +11,16 @@ with variance sigma^2 + r^2, Laplace becomes the normal-Laplace density
 (one erfc and one erfcx per point), and the sawtooth is N(0, 1 + r^2)
 plus its smoothed ripple, read from a cached grid of exact values and
 derivatives.  Each point's value depends on that point alone, so one
-scorer, _score_in_place, serves both local steps and the public scores:
-it scores a (B, n, d) stack in place in _LOOKUP_BLOCK-point slices, with
-the bits of one whole call.  Integrals over x (Fisher information,
-expected shifted scores) use composite Gauss-Legendre panels whose
-edges sit on every kink of the base density and at geometric multiples
-of r around it, where f_r changes on the scale r.
+slice scorer, _score_slice, serves the public scores and both local
+steps with the bits of one whole call: it writes the scores over the
+points, _LOOKUP_BLOCK points at a time.  The local step,
+_perturbed_mean_scores, uses the stack's local split as its workspace:
+per slice it draws the rows' noise into one slice-long buffer, perturbs
+and scores the points there and writes the scores back over the split.
+Integrals over x (Fisher information, expected shifted scores) use
+composite Gauss-Legendre panels whose edges sit on every kink of the
+base density and at geometric multiples of r around it, where f_r
+changes on the scale r.
 
 High-d smoothing uses R = r^2*I on product bases, so everything reduces
 exactly to per-coordinate 1-d evaluations.
@@ -81,51 +85,80 @@ def smoothed_score_1d(m: SmoothedModel1d, x):
     """
     x = np.asarray(x, dtype=float)
     require_finite_samples(x)
-    score = x.reshape(1, -1, 1).copy()
-    first = _score_in_place((m,), score)[0]
+    score = x.reshape(-1, 1).copy()
+    first = _score_in_place((m,), score)
     if first is not None:
         raise TailUnderflowError(first[1], m.r)
-    return float(score[0, 0, 0]) if x.ndim == 0 else score.reshape(x.shape)
+    return float(score[0, 0]) if x.ndim == 0 else score.reshape(x.shape)
 
 
-def _score_in_place(engines, pts: np.ndarray, coords=None) -> list:
-    """Write over a C-contiguous (B, n, d) point stack its smoothed scores.
+def _score_slice(engines, pts: np.ndarray, coords, firsts: list, b0: int,
+                 n: int) -> None:
+    """Write over an (m, d) slice of a stack of n-point rows its smoothed
+    scores: whole rows from row b0 on, or a piece of row b0.
 
-    engines[j] scores coordinate j, for j in `coords` (default all), in
-    _LOOKUP_BLOCK-point slices of the flattened B*n axis.  Returns per row
-    (j, x), the first point x with f_r < 1e-300 in the first such j, or None.
+    engines[j] scores coordinate j, for j in `coords`.  firsts[b] keeps,
+    as (j, x), row b's first underflow (f_r < 1e-300) in the least j;
+    slices must come in point order.
     """
-    rows, n, d = pts.shape
-    flat = pts.reshape(rows * n, d)
-    firsts = [None] * rows
-    for j in range(d) if coords is None else coords:
-        for start in range(0, flat.shape[0], _LOOKUP_BLOCK):
-            col = flat[start : start + _LOOKUP_BLOCK, j]
-            log_pdf, score = _log_pdf_and_score(engines[j], col)
-            bad = np.flatnonzero(~(log_pdf > _LOG_UNDERFLOW))
-            rows_bad, first_bad = np.unique((start + bad) // n, return_index=True)
-            for b, i in zip(rows_bad, bad[first_bad]):
-                if firsts[b] is None:
-                    firsts[b] = (j, float(col[i]))
-            col[...] = score
-    return firsts
+    for j in coords:
+        col = pts[:, j]
+        log_pdf, score = _log_pdf_and_score(engines[j], col)
+        bad = np.flatnonzero(~(log_pdf > _LOG_UNDERFLOW))
+        rows_bad, first_bad = np.unique(bad // n, return_index=True)
+        for row, p in zip(rows_bad, bad[first_bad]):
+            # an earlier slice's find in the same j came at an earlier point
+            if firsts[b0 + row] is None or j < firsts[b0 + row][0]:
+                firsts[b0 + row] = (j, float(col[p]))
+        col[...] = score
+
+
+def _score_in_place(engines, pts: np.ndarray, coords=None):
+    """Write over an (n, d) point array its smoothed scores, in slices.
+
+    engines[j] scores coordinate j, for j in `coords` (default all).
+    Returns (j, x), the first point x with f_r < 1e-300 in the first
+    such j, or None.
+    """
+    n, d = pts.shape
+    coords = range(d) if coords is None else coords
+    firsts = [None]
+    for i0 in range(0, n, _LOOKUP_BLOCK):
+        _score_slice(engines, pts[i0 : i0 + _LOOKUP_BLOCK], coords, firsts, 0, n)
+    return firsts[0]
 
 
 def _perturbed_mean_scores(engines, x: np.ndarray, lambda1: np.ndarray,
                            seeds) -> tuple[np.ndarray, list]:
     """Per row of (B, n, d) samples, the mean score of x[b] + r * noise -
-    lambda1[b], its noise drawn from seeds[b] into one buffer that is
-    then scored in place; and _score_in_place's first underflows.
+    lambda1[b], its noise drawn from seeds[b]; and per row (j, x), the
+    first perturbed point x with f_r < 1e-300 in the first such
+    coordinate j, or None.
+
+    x is the workspace: slice by slice, the rows' noise is drawn into one
+    slice-long buffer, perturbed and scored there and written back, so
+    on return x holds the scores.
     """
-    pts = np.empty(x.shape)
-    for b, seed in enumerate(seeds):
-        seed.generator().standard_normal(out=pts[b])
-    # x + r * noise - lambda1, in place: the same roundings, no temporaries
-    pts *= engines[0].r
-    pts += x
-    pts -= lambda1[:, None, :]
-    firsts = _score_in_place(engines, pts)
-    return pts.mean(axis=1), firsts
+    rows, n, d = x.shape
+    # a slice is up to _LOOKUP_BLOCK points: whole rows, or a piece of one
+    per = max(_LOOKUP_BLOCK // n, 1)
+    gens = [seed.generator() for seed in seeds]
+    firsts = [None] * rows
+    buf = np.empty(min(_LOOKUP_BLOCK, rows * n) * d)
+    for b0 in range(0, rows, per):
+        for i0 in range(0, n, _LOOKUP_BLOCK):
+            sl = x[b0 : b0 + per, i0 : i0 + _LOOKUP_BLOCK]
+            pts = buf[: sl.size].reshape(sl.shape)
+            for gen, noise in zip(gens[b0 : b0 + per], pts):
+                # one row's draws in pieces are its draws in one call
+                gen.standard_normal(out=noise)
+            # x + r * noise - lambda1: the same roundings, no temporaries
+            pts *= engines[0].r
+            pts += sl
+            pts -= lambda1[b0 : b0 + per, None, :]
+            _score_slice(engines, pts.reshape(-1, d), range(d), firsts, b0, n)
+            sl[...] = pts
+    return x.mean(axis=1), firsts
 
 
 def _panel_rule(m: SmoothedModel1d, shift: float = 0.0):
@@ -226,12 +259,12 @@ def smoothed_score_hd(m: SmoothedModelHd, x, coords=None):
             f"coords must be integers in [0, {m.dim}), got {bad}")
     # a coordinate scored twice in place would score its own scores
     cols = list(dict.fromkeys(cols))
-    score = np.zeros((1, *pts.shape))
-    score[0][:, cols] = pts[:, cols]
-    first = _score_in_place(_coord_engines(m), score, cols)[0]
+    score = np.zeros(pts.shape)
+    score[:, cols] = pts[:, cols]
+    first = _score_in_place(_coord_engines(m), score, cols)
     if first is not None:
         raise TailUnderflowError(f"coordinate {first[0]} value {first[1]}", m.r)
-    return score[0, 0] if squeeze else score[0]
+    return score[0] if squeeze else score
 
 
 def fisher_hd(m: SmoothedModelHd) -> FisherMatrix:

@@ -25,7 +25,7 @@ from smoothloc import (
     smoothed_score_1d,
     SmoothedModel1d,
 )
-from smoothloc.estimator1d import _quantile_rows, global_mle_1d_rows
+from smoothloc.estimator1d import _quantile_rows, _split, global_mle_1d_rows
 
 LOG20 = math.log(20.0)
 
@@ -330,9 +330,9 @@ def test_block_row_underflow_is_that_rows_error():
     root = RngSeed(78)
     xs = np.stack([base.sample(n, root.derive(b)) for b in range(4)])
     seeds = [root.derive(10 + b) for b in range(4)]
-    n_init = global_mle_1d_rows(base, xs, cfg, seeds)[2].n_used_init
+    n_init = global_mle_1d_rows(base, xs.copy(), cfg, seeds)[2].n_used_init
     xs[2, :n_init] += 1000.0
-    reps = global_mle_1d_rows(base, xs, cfg, seeds)
+    reps = global_mle_1d_rows(base, xs.copy(), cfg, seeds)
 
     with pytest.raises(EstimationError, match="underflowed") as single:
         global_mle_1d(base, xs[2], cfg, seeds[2])
@@ -341,6 +341,42 @@ def test_block_row_underflow_is_that_rows_error():
     for b in (0, 1, 3):
         one = global_mle_1d(base, xs[b], cfg, seeds[b])
         assert reps[b] == one  # every field, bit for bit
+
+
+@pytest.mark.parametrize("block", [7, 1000])
+def test_block_rows_in_any_slices_are_the_single_calls(block, monkeypatch):
+    # n = 400 leaves 154 local points a row: 7-point slices are pieces of
+    # one row, a 1000-point slice holds all five rows.  Row 2's quantile
+    # slice sits 1000 away, so its local step underflows
+    base, cfg, n = Laplace(0, 1), Config1d(delta=0.1), 400
+    root = RngSeed(79)
+    xs = np.stack([base.sample(n, root.derive(b)) for b in range(5)])
+    xs[2, :_split(cfg, n)[1]] += 1000.0
+    seeds = [root.derive(10 + b) for b in range(5)]
+    singles = []
+    for x, seed in zip(xs, seeds):
+        try:
+            singles.append(global_mle_1d(base, x, cfg, seed))
+        except EstimationError as e:
+            singles.append(str(e))
+    assert [isinstance(one, str) for one in singles] == [0, 0, 1, 0, 0]
+    monkeypatch.setattr("smoothloc.smoothing._LOOKUP_BLOCK", block)
+    reps = global_mle_1d_rows(base, xs, cfg, seeds)
+    # every report field bit for bit, and the same error text
+    assert [str(r) if isinstance(r, Exception) else r for r in reps] == singles
+
+
+@pytest.mark.parametrize("estimate", [
+    lambda x: global_mle_1d(Laplace(0, 1), x, Config1d(delta=0.1), RngSeed(51)),
+    lambda x: local_mle_1d(Laplace(0, 1), 0.3, x, 0.1, RngSeed(52)),
+], ids=["global_mle_1d", "local_mle_1d"])
+def test_public_estimators_leave_the_callers_samples_unwritten(estimate):
+    # the rows functions perturb and score the local split in place; the
+    # public ones hand them a copy of it
+    x = Laplace(0, 1).sample(5000, RngSeed(50))
+    before = hashlib.sha256(x.tobytes()).hexdigest()
+    estimate(x)
+    assert hashlib.sha256(x.tobytes()).hexdigest() == before
 
 
 def test_global_small_budget_names_minimum():

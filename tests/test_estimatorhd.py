@@ -1,5 +1,6 @@
 """High-dimensional estimator: robust init, local step, deviation bound."""
 
+import hashlib
 import logging
 import math
 import subprocess
@@ -31,6 +32,7 @@ from smoothloc.estimatorhd import (
     _WEISZFELD_CAP,
     _WEISZFELD_TOL,
     _local_rows,
+    _split,
     _weiszfeld,
     global_mle_hd_rows,
 )
@@ -301,9 +303,9 @@ def test_block_row_underflow_is_that_rows_error():
     root = RngSeed(77)
     xs = np.stack([LAP4.sample(n, root.derive(b)) for b in range(4)])
     seeds = [root.derive(10 + b) for b in range(4)]
-    n_init = global_mle_hd_rows(LAP4, xs, cfg, seeds)[2].n_used_init
+    n_init = global_mle_hd_rows(LAP4, xs.copy(), cfg, seeds)[2].n_used_init
     xs[2, :n_init] += 1000.0
-    reps = global_mle_hd_rows(LAP4, xs, cfg, seeds)
+    reps = global_mle_hd_rows(LAP4, xs.copy(), cfg, seeds)
 
     lam1 = geometric_median_of_means(xs[2, :n_init], 0.1)
     with pytest.raises(EstimationError, match="underflowed") as single:
@@ -325,8 +327,8 @@ def test_block_row_underflow_is_that_rows_error():
     local_x = xs[[0, 1, 3], n_init:]
     starts = np.zeros((3, 4))
     starts[1] = 1000.0
-    hats, errors = _local_rows(engine, fisher_hd(engine).inverse(), local_x,
-                               starts, seeds[:3])
+    hats, errors = _local_rows(engine, fisher_hd(engine).inverse(),
+                               local_x.copy(), starts, seeds[:3])
     with pytest.raises(EstimationError) as far:
         local_mle_hd(LAP4, 0.5, local_x[1], starts[1], seeds[1])
     assert [e is None for e in errors] == [True, False, True]
@@ -353,6 +355,69 @@ def test_local_rows_underflow_is_the_first_coordinate_then_the_first_point(
     assert str(errors[1]) == (
         "smoothed score underflowed (coordinate 0 value -9999.355744414755, "
         "r=0.5); initialization is likely far off")
+
+
+@pytest.mark.parametrize("block", [7, 1000])
+def test_block_rows_in_any_slices_are_the_single_calls(block, monkeypatch):
+    # n = 400 leaves 378 local points a row: 7-point slices are pieces of
+    # one row, 1000-point slices hold two whole rows.  Row 2's
+    # median-of-means slice sits 1000 away, so its local step underflows;
+    # row 4 underflows in coordinate 2 at its 4th local point and in
+    # coordinate 0 at its last, and the error names coordinate 0's point
+    cfg, n = ConfigHd(delta=0.1, r=0.5), 400
+    root = RngSeed(80)
+    xs = np.stack([LAP4.sample(n, root.derive(b)) for b in range(5)])
+    n_init = _split(LAP4, cfg, n)[1]
+    xs[2, :n_init] += 1000.0
+    xs[4, n_init + 3, 2] = 1e4
+    xs[4, n - 1, 0] = -1e4
+    seeds = [root.derive(10 + b) for b in range(5)]
+    singles = []
+    for x, seed in zip(xs, seeds):
+        try:
+            singles.append(global_mle_hd(LAP4, x, cfg, seed))
+        except EstimationError as e:
+            singles.append(str(e))
+    assert [isinstance(one, str) for one in singles] == [0, 0, 1, 0, 1]
+    assert "(coordinate 0 value -" in singles[4]
+    monkeypatch.setattr("smoothloc.smoothing._LOOKUP_BLOCK", block)
+    reps = global_mle_hd_rows(LAP4, xs, cfg, seeds)
+    for rep, one in zip(reps, singles):
+        if isinstance(one, str):
+            assert str(rep) == one
+        else:
+            assert np.array_equal(rep.lambda_hat, one.lambda_hat)
+            assert np.array_equal(rep.lambda_initial, one.lambda_initial)
+            assert rep.m_norm_error_bound == one.m_norm_error_bound
+
+
+@pytest.mark.parametrize("estimate", [
+    lambda x: global_mle_hd(LAP4, x, ConfigHd(delta=0.1, r=0.5), RngSeed(51)),
+    lambda x: local_mle_hd(LAP4, 0.5, x, np.full(4, 0.1), RngSeed(52)),
+], ids=["global_mle_hd", "local_mle_hd"])
+def test_public_estimators_leave_the_callers_samples_unwritten(estimate):
+    # the rows functions perturb and score the local split in place; the
+    # public ones hand them a copy of it
+    x = LAP4.sample(2000, RngSeed(50))
+    before = hashlib.sha256(x.tobytes()).hexdigest()
+    estimate(x)
+    assert hashlib.sha256(x.tobytes()).hexdigest() == before
+
+
+def test_block_step_allocates_slices_only():
+    # the rows function owns its stack and perturbs and scores the local
+    # split there: beside it, a slice-long noise buffer and the kernel's
+    # slice arrays, no copy of the split
+    cfg = ConfigHd(delta=0.1, r=0.5)
+    x = LAP4.sample(10**6, RngSeed(3))[None]
+    global_mle_hd(LAP4, x[0, :1000], cfg, RngSeed(4))  # fill the Fisher caches
+    tracemalloc.start()
+    try:
+        global_mle_hd_rows(LAP4, x, cfg, [RngSeed(4)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 0.25 * x.nbytes
 
 
 def test_local_step_memory_is_one_and_a_half_samples():

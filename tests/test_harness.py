@@ -154,6 +154,14 @@ def test_fisher_sweep_rejections():
         run_fisher_sweep("gauss(0,1)", (0.5,))
 
 
+@pytest.mark.parametrize("r", [0.0, -1.0, math.nan, math.inf])
+def test_fisher_sweep_names_any_bad_radius(r):
+    # one radius check, the model's, names every bad r, NaN included
+    with pytest.raises(PreconditionError,
+                       match=r"^smoothing radius r must be finite and > 0"):
+        run_fisher_sweep("gaussian(0,1)", (0.5, r))
+
+
 # -- coverage drivers ----------------------------------------------------------
 
 
@@ -577,6 +585,22 @@ def test_sawtooth_trial_memory_is_two_and_a_half_samples():
     finally:
         tracemalloc.stop()
     assert peak <= 2.5 * 8 * n
+
+
+def test_sawtooth_trial_memory_is_under_one_and_a_half_samples():
+    # the local step perturbs and scores the block row's local split in
+    # place, slice by slice: beside the row it holds a slice-long noise
+    # buffer and the kernel's slice arrays.  A perturbed copy of the
+    # split would bring the peak to about 2.04 samples
+    n = 10**6
+    run_sawtooth_phase(0.05, 4.0, (n,), 1, 0.1, seed=2, threads=1)
+    tracemalloc.start()
+    try:
+        run_sawtooth_phase(0.05, 4.0, (n,), 1, 0.1, seed=3, threads=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * 8 * n
 
 
 def test_concentration_unknown_family():
