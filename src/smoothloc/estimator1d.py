@@ -113,6 +113,8 @@ def local_mle_1d(base: Density1d, r: float, samples, lambda1: float,
     if x.ndim != 1 or x.size == 0:
         raise PreconditionError("samples must be a nonempty 1-d sequence")
     require_finite_samples(x)
+    if not math.isfinite(lambda1):
+        raise PreconditionError(f"lambda1 must be finite, got {lambda1}")
     hat = _local_rows(SmoothedModel1d(base, r), x[None],
                       np.array([lambda1], dtype=float), [seed])[0]
     if isinstance(hat, Exception):

@@ -261,6 +261,10 @@ def local_mle_hd(base: ProductDensity, r: float, samples, lambda1,
     if lambda1.shape != (x.shape[1],):
         raise PreconditionError("lambda1 must match the sample dimension")
     require_finite_samples(x)
+    bad = np.flatnonzero(~np.isfinite(lambda1))
+    if bad.size:
+        raise PreconditionError(f"lambda1 must be finite, got {lambda1[bad[0]]} "
+                                f"at coordinate {bad[0]}")
     engine = SmoothedModelHd(base, r)
     lambda_hat, errors = _local_rows(engine, fisher_hd(engine).inverse(),
                                      x[None], lambda1[None], [seed])

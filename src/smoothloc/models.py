@@ -22,9 +22,10 @@ directly.  Parameters are checked on construction: scales within
 [1e-100, 1e100], a location that float64 resolves at its scale, and a
 sawtooth tooth width of at least 1e-3.
 
-scipy.special (ndtr, ndtri, erfc, erfcx, logsumexp, and smoothing's
-roots_legendre) is imported by _special() on the first call that needs
-it, not with this module, so that importing smoothloc needs numpy alone.
+scipy.special (ndtr, ndtri, erfc, erfcx and logsumexp) is imported by
+_special() on the first call that needs it, not with this module, so
+that importing smoothloc needs numpy alone.  No other scipy module is
+loaded by the package.
 """
 
 from __future__ import annotations
@@ -614,8 +615,8 @@ _RIPPLE_REACH = 12.0
 _RIPPLE_POINTS_PER_R = 128
 _RIPPLE_MAX_POINTS = 1 << 20
 # Points per slice of the sawtooth draw, its ripple lookup and the scorer.
-# The 2-thread 1-d coverage benchmark (laplace, n = 10^4) peaks at 70.1 MB
-# RSS with 2^15 and at 71.7 MB with 2^16; 2^14 scaled worse on 2 threads.
+# The 2-thread 1-d coverage benchmark (laplace, n = 10^4) peaks at 61.3 MB
+# RSS with 2^15 and at 65.1 MB with 2^16; 2^14 scaled worse on 2 threads.
 _LOOKUP_BLOCK = 1 << 15
 
 

@@ -25,8 +25,9 @@ changes on the scale r.
 High-d smoothing uses R = r^2*I on product bases, so everything reduces
 exactly to per-coordinate 1-d evaluations.
 
-This module needs numpy alone to import; the Gauss-Legendre rule, and
-with it scipy.special, is loaded on the first quadrature.
+This module needs numpy alone, and never loads scipy itself: the
+Gauss-Legendre rule is a table of constants, and scipy.special loads
+only with a family's smoothed form that calls it (models._special).
 """
 
 from __future__ import annotations
@@ -38,17 +39,36 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import PreconditionError, TailUnderflowError, require_finite_samples
-from .models import _LOOKUP_BLOCK, Density1d, ProductDensity, _special
+from .models import _LOOKUP_BLOCK, Density1d, ProductDensity
 from .rng import RngSeed
 
 _LOG_UNDERFLOW = math.log(1e-300)
 _UNIFORM_PANELS = 128
 
+# The 20-point Gauss-Legendre rule on [-1, 1], the bits of
+# scipy.special.roots_legendre(20): its positive nodes, ascending, and
+# their weights.  That rule is exactly symmetric (x = -x[::-1],
+# w = w[::-1]), so the negative half is the mirror image.
+_GL_HALF = np.array([[float.fromhex(x), float.fromhex(w)] for x, w in (
+    ("0x1.3973df98b86adp-4", "0x1.38d6c490a3367p-3"),
+    ("0x1.d281636928bbfp-3", "0x1.31819b52c598dp-3"),
+    ("0x1.7eaccf15652c4p-2", "0x1.230348f34a52bp-3"),
+    ("0x1.05905c13f7ff6p-1", "0x1.0db2c5db26df8p-3"),
+    ("0x1.45a8d3fa710dap-1", "0x1.e41ff31573b48p-4"),
+    ("0x1.7e1f37346a54ep-1", "0x1.a1817a317a814p-4"),
+    ("0x1.ada0bd5efd6e8p-1", "0x1.5519fe196e227p-4"),
+    ("0x1.d31064173fd92p-1", "0x1.00b467df7e488p-4"),
+    ("0x1.ed8dba7bd769ep-1", "0x1.4c9b5ea53b6cdp-5"),
+    ("0x1.fc7b5a0c71ce0p-1", "0x1.209680274e953p-6"),
+)])
+_GL_NODES = np.concatenate((-_GL_HALF[::-1, 0], _GL_HALF[:, 0]))
+_GL_WEIGHTS = np.concatenate((_GL_HALF[::-1, 1], _GL_HALF[:, 1]))
+_GL_NODES.flags.writeable = _GL_WEIGHTS.flags.writeable = False
 
-@lru_cache(maxsize=None)
+
 def _gauss_legendre():
-    """The 20-point Gauss-Legendre nodes and weights on [-1, 1]."""
-    return _special().roots_legendre(20)
+    """The 20-point Gauss-Legendre nodes and weights on [-1, 1], read-only."""
+    return _GL_NODES, _GL_WEIGHTS
 
 
 def _require_radius(r) -> None:

@@ -77,6 +77,14 @@ def test_local_step_validation():
         local_mle_1d(Gaussian(0, 1), 0.5, [], 0.0, RngSeed(1))
 
 
+@pytest.mark.parametrize("lam1", [math.nan, math.inf, -math.inf])
+def test_local_step_rejects_non_finite_start(lam1):
+    # it was scored, and reported as an underflow at a perturbed sample nan
+    with pytest.raises(PreconditionError,
+                       match=rf"^lambda1 must be finite, got {lam1}$"):
+        local_mle_1d(Laplace(0, 1), 0.3, [0.5, 1.0], lam1, RngSeed(1))
+
+
 def test_local_step_underflow_reports_bad_init():
     with pytest.raises(EstimationError, match="underflowed"):
         local_mle_1d(Laplace(0, 1), 0.1, [1000.0, 1000.5], 0.0, RngSeed(3))

@@ -284,6 +284,14 @@ def test_local_hd_underflow_reports_bad_init():
         local_mle_hd(LAP4, 0.5, x, np.zeros(4), RngSeed(9))
 
 
+def test_local_hd_rejects_non_finite_start():
+    # it was scored, and reported as an underflow at coordinate 1 value nan
+    start = np.array([0.0, math.nan, 0.0, 0.0])
+    with pytest.raises(PreconditionError,
+                       match=r"^lambda1 must be finite, got nan at coordinate 1$"):
+        local_mle_hd(LAP4, 0.5, np.zeros((5, 4)), start, RngSeed(1))
+
+
 def test_local_hd_validation():
     with pytest.raises(PreconditionError):
         local_mle_hd(LAP4, 0.5, np.zeros((0, 4)), np.zeros(4), RngSeed(1))

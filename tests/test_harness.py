@@ -687,6 +687,34 @@ def test_bench_concentration_leaves_scipy_unloaded(tmp_path):
     assert out.strip() == "0 False"
 
 
+def test_runs_leave_scipy_linalg_unloaded(tmp_path):
+    # the package's one scipy module is scipy.special; the quadrature rule
+    # of every Fisher information is a table of constants
+    body = {
+        "fisher-sweep": "model = laplace(0,1)\nr-grid = 0.1,0.5\n",
+        "coverage": "model = laplace(0,1)\nn = 1000\ntrials = 4\ndelta = 0.1\n",
+        "coverage-hd": "model = product(laplace(0,1)^2)\nn = 400\nr = 0.5\n"
+                       "trials = 2\ndelta = 0.1\n",
+        "sawtooth-phase": "w = 0.05\nslope = 4\nn-grid = 1000\ntrials = 2\n"
+                          "delta = 0.1\n",
+    }
+    runs = []
+    for experiment, text in body.items():
+        cfg = tmp_path / f"{experiment}.cfg"
+        cfg.write_text(f"experiment = {experiment}\n{text}seed = 3\nthreads = 2\n")
+        runs.append(["bench", experiment, "--config", str(cfg),
+                     "--out", str(tmp_path / f"{experiment}.csv")])
+    runs.append(["estimate", "--model", "laplace(0,1)", *_ESTIMATE])
+    runs.append(["estimate-hd", "--model", "product(laplace(0,1)^2)", *_ESTIMATE_HD])
+    out = run_python(
+        "import contextlib, io, sys; from smoothloc import cli\n"
+        f"for argv in {runs!r}:\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        rc = cli.main(argv)\n"
+        "    print(argv[0], argv[1], rc, 'scipy.linalg' in sys.modules)")
+    assert out.splitlines() == [f"{argv[0]} {argv[1]} 0 False" for argv in runs]
+
+
 def test_scipy_first_loaded_in_pool_threads_gives_serial_csv():
     # 26 trials of n = 10^4 make two blocks, so at threads=2 both pool
     # threads reach fisher_1d and Laplace._smoothed, and import

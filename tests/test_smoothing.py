@@ -4,6 +4,7 @@ import hashlib
 import math
 import tracemalloc
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -414,6 +415,33 @@ def test_panel_rule_nodes_are_roots_legendre():
     want_nodes, want_weights = special.roots_legendre(20)
     assert np.array_equal(nodes, want_nodes)
     assert np.array_equal(weights, want_weights)
+
+
+def test_frozen_panel_rule_is_the_20_point_gauss_legendre_rule():
+    # without scipy: 20 nodes inside (-1, 1) and weights that integrate
+    # x^k exactly for k <= 39.  The moments are summed in exact rational
+    # arithmetic on the stored doubles, so the only error is the rule's
+    # own.  Its values solve an order-n problem whose matrix (the Jacobi
+    # matrix of P_20) has norm < 1, so in float64 each node and weight
+    # errs by at most n * eps, and to first order a moment by at most
+    # n * eps * sum(|x|^k + k * w * |x|^(k-1)).
+    nodes, weights = smoothing._gauss_legendre()
+    n, eps = 20, np.finfo(float).eps
+    assert nodes.shape == weights.shape == (n,)
+    assert np.all(np.diff(nodes) > 0) and -1.0 < nodes[0] and nodes[-1] < 1.0
+    assert np.array_equal(nodes, -nodes[::-1])
+    assert np.array_equal(weights, weights[::-1])
+    assert not nodes.flags.writeable and not weights.flags.writeable
+    x, w = [Fraction(v) for v in nodes], [Fraction(v) for v in weights]
+    ax = np.abs(nodes)
+    for k in range(2 * n):
+        moment = sum(wi * xi**k for wi, xi in zip(w, x))
+        if k % 2:
+            assert moment == 0, k  # the exact symmetry cancels it exactly
+        else:
+            # k = 0 is sum(w) = 2
+            tol = n * eps * np.sum(ax**k + k * weights * ax ** max(k - 1, 0))
+            assert abs(float(moment - Fraction(2, k + 1))) <= tol, k
 
 
 def test_fisher_gaussian_closed_form():
