@@ -12,8 +12,10 @@ trials is a (B, n) stack, one row and noise stream per trial, that
 global_mle_1d_rows runs in one call; global_mle_1d is its B = 1 case.
 The perturb-and-score part of the Newton step is the high-d one at
 d = 1 (smoothing._perturbed_mean_scores), done in place in each row's
-local split; this module divides by I_r.  The public functions hand it
-a copy of the local split, so a caller's samples are never written.
+local split; this module divides by I_r.  The quantile start selects
+in place too, in each row's initialization split, so a trial holds its
+sample and the step's slices only.  The public functions hand them a
+copy, so a caller's samples are never written.
 """
 
 from __future__ import annotations
@@ -164,11 +166,12 @@ def _model_quantile(base: Density1d, alpha: float) -> float:
 
 
 def _quantile_rows(base: Density1d, x: np.ndarray, alpha: float) -> np.ndarray:
-    """quantile_initial_estimate on each row of a (B, m) stack."""
+    """quantile_initial_estimate on each row of a (B, m) stack, which it
+    owns: each row is partitioned in place around the order statistic."""
     m = x.shape[1]
     idx = min(max(int(math.ceil(alpha * m)), 1), m)
-    return (np.partition(x, idx - 1, axis=1)[:, idx - 1]
-            - _model_quantile(base, alpha))
+    x.partition(idx - 1, axis=1)
+    return x[:, idx - 1] - _model_quantile(base, alpha)
 
 
 def quantile_initial_estimate(base: Density1d, samples_init, alpha: float) -> float:
@@ -179,7 +182,7 @@ def quantile_initial_estimate(base: Density1d, samples_init, alpha: float) -> fl
     difference is the shift that aligns the model quantile with the
     sample one.
     """
-    x = np.ravel(np.asarray(samples_init, dtype=float))
+    x = np.array(samples_init, dtype=float).ravel()  # a copy: selected in place
     require_finite_samples(x)
     if x.size < 2:
         raise PreconditionError("initialization stage needs at least 2 samples")
@@ -225,7 +228,8 @@ def _split(cfg: Config1d, n: int) -> tuple[float, int]:
 def _split_rows(base: Density1d, q: float, init: np.ndarray, local: np.ndarray,
                 cfg: Config1d, seeds) -> list:
     """global_mle_1d_rows on the rows' (B, n_init) initialization and
-    (B, n_local) local splits, with _split's q; the step consumes `local`."""
+    (B, n_local) local splits, with _split's q; the step consumes both:
+    the quantile start reorders `init`, the Newton step scores `local`."""
     n_init, n_local = init.shape[1], local.shape[1]
     log_term = math.log(2.0 / cfg.delta)
     alpha = choose_alpha(base, q, cfg.alpha_grid_step)
@@ -258,10 +262,11 @@ def global_mle_1d_rows(base: Density1d, samples: np.ndarray, cfg: Config1d,
     """global_mle_1d on each row of a (B, n) stack of finite samples.
 
     Row b uses seeds[b] as global_mle_1d uses its seed.  The stack is
-    the step's workspace: each row's local split is perturbed and scored
-    in place, and holds its scores on return.  The checks, split, r* and
-    I_r* are shared: a failing check raises for the block.  Returns per
-    row an EstimateReport or that row's EstimationError.
+    the step's workspace: each row's initialization split is reordered
+    around its order statistic, and its local split is perturbed and
+    scored in place and holds its scores on return.  The checks, split,
+    r* and I_r* are shared: a failing check raises for the block.
+    Returns per row an EstimateReport or that row's EstimationError.
     """
     q, n_init = _split(cfg, samples.shape[1])
     return _split_rows(base, q, samples[:, :n_init], samples[:, n_init:], cfg,
@@ -278,12 +283,12 @@ def global_mle_1d(base: Density1d, samples, cfg: Config1d,
     reported theoretical_radius is the leading-order deviation bound
     sqrt(2 log(2/delta) / (n_local * I_{r*})).
     """
-    x = np.asarray(samples, dtype=float)
+    x = np.array(samples, dtype=float)  # a copy: the step consumes it
     if x.ndim != 1:
         raise PreconditionError("samples must be a 1-d sequence")
     require_finite_samples(x)
     q, n_init = _split(cfg, x.size)
-    rep = _split_rows(base, q, x[None, :n_init], x[None, n_init:].copy(), cfg,
+    rep = _split_rows(base, q, x[None, :n_init], x[None, n_init:], cfg,
                       [seed])[0]
     if isinstance(rep, Exception):
         raise rep

@@ -276,8 +276,8 @@ def _run_blocks(estimate_rows, base, cfg, n: int, seeds, lambda_scale: float,
     straight into its row of the block's stack, where the shift is
     added in place.
     estimate_rows runs once per block on its (B, n[, dim]) stack, with
-    seeds[t].derive(3) for trial t's row, and owns the stack: the local
-    step leaves its scores there.  rep is the trial's entry of what
+    seeds[t].derive(3) for trial t's row, and owns the stack: the 1-d
+    quantile start reorders it and the local step leaves its scores there.  rep is the trial's entry of what
     estimate_rows returns, or an "error: ..." note in place of an
     exception: a whole-block failure is every row's note.  A
     lambda_scale past float64 resolution of the model's samples is

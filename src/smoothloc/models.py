@@ -15,7 +15,9 @@ or, as numpy's generators do, into the caller's C-contiguous float64
 `_draw_into`, which fills the vector it is given; a product fills each
 component's column in turn from one generator.  The sawtooth draws n
 normals into the caller's array, thins its negative ripple lobes there
-and refills the removed points from the positive lobes.
+and refills the removed points from the positive lobes, slice by slice,
+so beside the array it holds one slice of temporaries and the removed
+points' indices.
 
 Instances are frozen and hashable; downstream caches key on them
 directly.  Parameters are checked on construction: scales within
@@ -175,7 +177,10 @@ def _bisect_cdf(cdf, p, lo, hi, tol=1e-10):
     flat = np.atleast_1d(p)
     a = np.full(flat.shape, float(lo))
     b = np.full(flat.shape, float(hi))
-    # 60 halvings take any desk-scale bracket below 1e-10
+    # tol is absolute for a bracket at least 1 wide and relative to a
+    # narrower one (an absolute 1e-10 would end a 1e-19-wide bracket after
+    # one halving); 60 halvings take any desk-scale bracket below it
+    tol *= min(1.0, float(hi) - float(lo))
     for _ in range(60):
         mid = 0.5 * (a + b)
         left = cdf(mid) < flat
@@ -513,9 +518,12 @@ class GaussianSawtooth(Density1d):
         # with density phi - ripple- + ripple+ = f, independently of the
         # others.  The stream holds all n normals, then one uniform per
         # point in a negative lobe, in index order, then three uniforms
-        # per removed point (the lobe, and two for its triangle), so the
-        # slices below bound the temporaries without changing a draw.  At
-        # slope 0 there are no lobes, and the draw is the normals alone.
+        # per removed point (the lobe, and two for its triangle), in index
+        # order, so the slices below bound the temporaries without
+        # changing a draw: the refill keeps each slice's removed indices
+        # and draws its (k, 3) uniforms in turn, the numbers of one
+        # (m, 3) draw.  At slope 0 there are no lobes, and the draw is
+        # the normals alone.
         gen.standard_normal(out=out)
         if self.slope == 0.0:
             return
@@ -537,15 +545,15 @@ class GaussianSawtooth(Density1d):
         # each removed point becomes a draw from ripple+ / A: one of the
         # n_teeth positive lobes, u/w in (2j, 2j + 1), uniformly, then the
         # lobe's triangle w * (2j + (U1 + U2) / 2)
-        removed = np.concatenate(removed)
-        unif = gen.random((removed.size, 3))
-        lobe = np.floor(unif[:, 0] * self.n_teeth)
-        lobe -= self.n_teeth // 2
-        tri = unif[:, 1] + unif[:, 2]
-        tri *= 0.5
-        tri += 2.0 * lobe
-        tri *= self.w
-        out[removed] = tri
+        for idx in removed:
+            unif = gen.random((idx.size, 3))
+            lobe = np.floor(unif[:, 0] * self.n_teeth)
+            lobe -= self.n_teeth // 2
+            tri = unif[:, 1] + unif[:, 2]
+            tri *= 0.5
+            tri += 2.0 * lobe
+            tri *= self.w
+            out[idx] = tri
 
     def mean(self):
         # int x*ripple dx = -int Ripple(x) dx by parts; the tooth-count

@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -197,6 +198,23 @@ def test_quantile_rows_pick_the_sorted_order_statistic_with_ties():
         assert np.array_equal(_quantile_rows(base, x, alpha), want)
 
 
+def test_quantile_rows_select_in_place():
+    # the rows own their stack: the selection reorders each row where it
+    # stands, where np.partition would copy the whole stack
+    base, alpha = Laplace(0, 1), 0.3
+    x = np.stack([base.sample(250_000, RngSeed(32, b)) for b in range(4)])
+    want = np.sort(x, axis=1)[:, math.ceil(alpha * x.shape[1]) - 1]
+    _quantile_rows(base, x[:, :10].copy(), alpha)  # fill the quantile cache
+    tracemalloc.start()
+    try:
+        got = _quantile_rows(base, x, alpha)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 0.01 * x.nbytes
+    assert np.array_equal(got, want - base.quantile(alpha))
+
+
 def test_quantile_init_validation():
     with pytest.raises(PreconditionError):
         quantile_initial_estimate(Gaussian(0, 1), [1.0], 0.5)
@@ -377,10 +395,11 @@ def test_block_rows_in_any_slices_are_the_single_calls(block, monkeypatch):
 @pytest.mark.parametrize("estimate", [
     lambda x: global_mle_1d(Laplace(0, 1), x, Config1d(delta=0.1), RngSeed(51)),
     lambda x: local_mle_1d(Laplace(0, 1), 0.3, x, 0.1, RngSeed(52)),
-], ids=["global_mle_1d", "local_mle_1d"])
+    lambda x: quantile_initial_estimate(Laplace(0, 1), x, 0.3),
+], ids=["global_mle_1d", "local_mle_1d", "quantile_initial_estimate"])
 def test_public_estimators_leave_the_callers_samples_unwritten(estimate):
-    # the rows functions perturb and score the local split in place; the
-    # public ones hand them a copy of it
+    # the rows functions reorder the initialization split and perturb and
+    # score the local split in place; the public ones hand them a copy
     x = Laplace(0, 1).sample(5000, RngSeed(50))
     before = hashlib.sha256(x.tobytes()).hexdigest()
     estimate(x)

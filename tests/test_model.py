@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -100,6 +101,17 @@ def test_quantile_monotone():
         qs = [model.quantile(p) for p in ps]
         assert np.all(np.diff(qs) >= 0)
         assert model.pdf(model.quantile(0.5)) > 0
+
+
+@pytest.mark.parametrize("s", [1e-20, 1e-50, 1e-100])
+def test_narrow_mixture_quantiles_are_the_gaussian_ones(s):
+    # with an absolute 1e-10 tolerance the bisection of a bracket narrower
+    # than that ended after one halving: at s = 1e-20 the upper quartile
+    # read 7e-20, where 6.74e-21 is exact
+    mix, exact = GaussianMixture((1.0,), (0.0,), (s,)), Gaussian(0.0, s)
+    ps = np.array([0.01, 0.1, 0.25, 0.5, 0.75, 0.9, 0.99])
+    assert np.max(np.abs(mix.quantile(ps) - exact.quantile(ps))) <= 1e-9 * s
+    assert abs(mix.iqr() - exact.iqr()) <= 1e-9 * s
 
 
 def test_quantile_domain_error():
@@ -311,6 +323,21 @@ def test_flat_sawtooth_draw_is_the_standard_normal():
                               ref_gen.bit_generator.random_raw(5))
         assert np.array_equal(GaussianSawtooth(0.3, 0.0).sample(n, RngSeed(n, 19)),
                               RngSeed(n, 19).generator().standard_normal(n))
+
+
+def test_sawtooth_draw_holds_one_slice_of_temporaries():
+    # beside `out` the sampler holds one slice of thinning temporaries and
+    # the removed points' indices; each slice refills in turn.  The whole
+    # refill drawn at once, with its (m, 3) uniforms, took 0.36 x 8n
+    n, buf = 10**6, np.empty(10**6)
+    SAW.sample(n, RngSeed(20, 6), out=buf)
+    tracemalloc.start()
+    try:
+        SAW.sample(n, RngSeed(20, 7), out=buf)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 0.25 * 8 * n
 
 
 def _fine_bin_chi2_pvalue(model, x):

@@ -410,7 +410,7 @@ def test_non_finite_points_rejected(score, x):
 
 
 def test_panel_rule_nodes_are_roots_legendre():
-    # the rule is built on first use, from the call that made it at import
+    # the rule is a table of constants; scipy must still give those bits
     nodes, weights = smoothing._gauss_legendre()
     want_nodes, want_weights = special.roots_legendre(20)
     assert np.array_equal(nodes, want_nodes)
