@@ -164,8 +164,13 @@ def _cmd_fisher(args) -> int:
 def _cmd_bench(args) -> int:
     if args.threads is not None and args.threads < 1:
         raise ConfigurationError(f"--threads must be >= 1, got {args.threads}")
-    with open(args.config, "r", encoding="utf-8") as fh:
-        cfg = parse_config(fh.read())
+    try:
+        with open(args.config, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as e:
+        raise ConfigurationError(
+            f"config file {args.config!r} is not UTF-8 text: {e}") from None
+    cfg = parse_config(text)
     if cfg.experiment != args.experiment:
         raise ConfigurationError(
             f"config declares experiment '{cfg.experiment}' "

@@ -237,8 +237,9 @@ def score_vector_generator(m: SmoothedModelHd, eps) -> VectorGenerator:
         raise PreconditionError("score-vector generator expects a product density")
     eps = np.broadcast_to(np.asarray(eps, dtype=float), (m.dim,)).copy()
     quad_form = float(np.sum(eps * eps)) / (m.r * m.r)
-    if quad_form > 0.25 + 1e-12:
-        raise PreconditionError("requires eps^T R^-1 eps <= 1/4")
+    if not quad_form <= 0.25 + 1e-12:  # written so that NaN fails too
+        raise PreconditionError(
+            f"requires eps^T R^-1 eps <= 1/4, got eps = {eps.tolist()}")
     fisher_diag = np.diag(fisher_hd(m).matrix)
     m_prime = m.r * m.r * fisher_diag
     inv_norm = 1.0 / float(fisher_diag.min())

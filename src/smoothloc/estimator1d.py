@@ -8,14 +8,15 @@ r* = c * (log(2/delta)/n)^{1/8} * IQR unless overridden.
 
 The two stages never share samples: the Newton-step analysis needs the
 score evaluations to be independent of the initializer.  A block of
-trials is a (B, n) stack, one row and noise stream per trial, that
-global_mle_1d_rows runs in one call; global_mle_1d is its B = 1 case.
-The perturb-and-score part of the Newton step is the high-d one at
-d = 1 (smoothing._perturbed_mean_scores), done in place in each row's
-local split; this module divides by I_r.  The quantile start selects
-in place too, in each row's initialization split, so a trial holds its
-sample and the step's slices only.  The public functions hand them a
-copy, so a caller's samples are never written.
+trials is a (B, n) stack, one row and noise stream per trial.
+global_mle_1d_rows alone splits, starts and steps a stack, and owns
+and consumes it: the quantile start selects in place in each row's
+initialization split, and the Newton step perturbs and scores each
+row's local split in place, through the high-d path at d = 1
+(smoothing._perturbed_mean_scores); this module divides by I_r.  So a
+trial holds its sample and the step's slices only.  global_mle_1d is
+the B = 1 call on a copy of its sample, and the other public functions
+copy their input too, so a caller's samples are never written.
 """
 
 from __future__ import annotations
@@ -225,24 +226,31 @@ def _split(cfg: Config1d, n: int) -> tuple[float, int]:
     return q, n_init
 
 
-def _split_rows(base: Density1d, q: float, init: np.ndarray, local: np.ndarray,
-                cfg: Config1d, seeds) -> list:
-    """global_mle_1d_rows on the rows' (B, n_init) initialization and
-    (B, n_local) local splits, with _split's q; the step consumes both:
-    the quantile start reorders `init`, the Newton step scores `local`."""
-    n_init, n_local = init.shape[1], local.shape[1]
+def global_mle_1d_rows(base: Density1d, samples: np.ndarray, cfg: Config1d,
+                       seeds) -> list:
+    """global_mle_1d on each row of a (B, n) stack of finite samples.
+
+    Row b uses seeds[b] as global_mle_1d uses its seed.  The stack is
+    consumed: on return each row's initialization split is reordered
+    around its order statistic and its local split holds its scores.
+    The checks, split, r* and I_r* are shared: a failing check raises
+    for the block.  Returns per row an EstimateReport or that row's
+    EstimationError.
+    """
+    n = samples.shape[1]
+    q, n_init = _split(cfg, n)
+    n_local = n - n_init
     log_term = math.log(2.0 / cfg.delta)
     alpha = choose_alpha(base, q, cfg.alpha_grid_step)
     if cfg.r_override is not None:
         r_star = cfg.r_override
     else:
-        n = n_init + n_local
         r_star = cfg.r_star_multiplier * (log_term / n) ** 0.125 * base.iqr()
     engine = SmoothedModel1d(base, r_star)
     fisher = fisher_1d(engine)
     radius = math.sqrt(2.0 * log_term / (n_local * fisher))
-    starts = _quantile_rows(base, init, alpha)
-    hats = _local_rows(engine, local, starts, seeds)
+    starts = _quantile_rows(base, samples[:, :n_init], alpha)
+    hats = _local_rows(engine, samples[:, n_init:], starts, seeds)
     return [
         hat if isinstance(hat, Exception) else EstimateReport(
             lambda_hat=hat,
@@ -257,22 +265,6 @@ def _split_rows(base: Density1d, q: float, init: np.ndarray, local: np.ndarray,
     ]
 
 
-def global_mle_1d_rows(base: Density1d, samples: np.ndarray, cfg: Config1d,
-                       seeds) -> list:
-    """global_mle_1d on each row of a (B, n) stack of finite samples.
-
-    Row b uses seeds[b] as global_mle_1d uses its seed.  The stack is
-    the step's workspace: each row's initialization split is reordered
-    around its order statistic, and its local split is perturbed and
-    scored in place and holds its scores on return.  The checks, split,
-    r* and I_r* are shared: a failing check raises for the block.
-    Returns per row an EstimateReport or that row's EstimationError.
-    """
-    q, n_init = _split(cfg, samples.shape[1])
-    return _split_rows(base, q, samples[:, :n_init], samples[:, n_init:], cfg,
-                       seeds)
-
-
 def global_mle_1d(base: Density1d, samples, cfg: Config1d,
                   seed: RngSeed) -> EstimateReport:
     """Quantile initialization, then one smoothed-score Newton step.
@@ -283,13 +275,11 @@ def global_mle_1d(base: Density1d, samples, cfg: Config1d,
     reported theoretical_radius is the leading-order deviation bound
     sqrt(2 log(2/delta) / (n_local * I_{r*})).
     """
-    x = np.array(samples, dtype=float)  # a copy: the step consumes it
+    x = np.array(samples, dtype=float, order="C")  # a copy: the step consumes it
     if x.ndim != 1:
         raise PreconditionError("samples must be a 1-d sequence")
     require_finite_samples(x)
-    q, n_init = _split(cfg, x.size)
-    rep = _split_rows(base, q, x[None, :n_init], x[None, n_init:], cfg,
-                      [seed])[0]
+    rep = global_mle_1d_rows(base, x[None], cfg, [seed])[0]
     if isinstance(rep, Exception):
         raise rep
     return rep

@@ -6,17 +6,19 @@ stage first runs geometric median-of-means on a small slice to get a
 heavy-tail-robust initial vector, then hands the rest to the local stage.
 
 Both stages work on a block of trials: a (B, n, d) stack of sample
-sets, one row per trial, each row with its own noise stream.  Weiszfeld
-advances every row's bucket means together and freezes each row when
-its own test stops it; each row's local split is perturbed and scored
-in place, in slices (smoothing._perturbed_mean_scores, the 1-d step's
-path too); the step is I_R^{-1} times each row's mean score.  A
-row gets the same numbers, bit for bit, as it would alone, and one
-row's score underflow becomes that row's error, never the block's.
-The single-trial functions are the B = 1 case, run on a copy of the
-local split, so a caller's samples are never written.  What the rows
-share (the checks, the split, I_R^{-1}, the bound) is computed once per
-block.
+sets, one row per trial, each row with its own noise stream.
+global_mle_hd_rows alone splits, starts and steps a stack, and owns and
+consumes it.  Weiszfeld advances every row's bucket means together and
+freezes each row when its own test stops it; each row's local split is
+perturbed and scored in place, in slices
+(smoothing._perturbed_mean_scores, the 1-d step's path too); the step
+is I_R^{-1} times each row's mean score.  A row gets the same numbers,
+bit for bit, as it would alone, and one row's score underflow becomes
+that row's error, never the block's.  What the rows share (the checks,
+the split, I_R^{-1}, the bound) is computed once per block.  The
+single-trial functions are the B = 1 case, run on a C-ordered copy of
+their input, so a caller's samples are never written and their memory
+layout never changes a bit.
 
 Error reports use the M-norm sqrt(x^T M x) and the deviation bound
 (1+eta)*sqrt(Tr T/n) + 5*sqrt(||T|| log(4/delta)/n) with
@@ -215,7 +217,8 @@ def geometric_median_of_means(
     """
     if not 0.0 < delta < 1.0:
         raise PreconditionError("delta must be in (0, 1)")
-    x = np.asarray(samples, dtype=float)
+    # C order: the bucket means' summation order follows the layout
+    x = np.ascontiguousarray(samples, dtype=float)
     if x.ndim == 1:
         x = x[:, None]
     require_finite_samples(x)
@@ -254,7 +257,7 @@ def local_mle_hd(base: ProductDensity, r: float, samples, lambda1,
     smoothed score at the recentered points, and subtracts
     I_R^{-1} times that average from lambda1.
     """
-    x = np.array(samples, dtype=float)  # a copy: the step consumes it
+    x = np.array(samples, dtype=float, order="C")  # a copy: the step consumes it
     lambda1 = np.asarray(lambda1, dtype=float)
     if x.ndim != 2 or x.shape[0] == 0:
         raise PreconditionError("samples must be a nonempty (n, d) array")
@@ -322,22 +325,29 @@ def _split(base: ProductDensity, cfg: ConfigHd, n: int) -> tuple[int, int]:
     return k, n_init
 
 
-def _split_rows(base: ProductDensity, k: int, init: np.ndarray,
-                local: np.ndarray, cfg: ConfigHd, seeds) -> list:
-    """global_mle_hd_rows on the rows' (B, n_init, d) initialization and
-    (B, n_local, d) local splits, with _split's k; the step consumes
-    `local`."""
-    n_init = init.shape[1]
-    n = n_init + local.shape[1]
+def global_mle_hd_rows(base: ProductDensity, samples: np.ndarray,
+                       cfg: ConfigHd, seeds) -> list:
+    """global_mle_hd on each row of a (B, n, d) stack of finite samples.
+
+    Row b uses seeds[b] as global_mle_hd uses its seed.  _split divides
+    each row between the median-of-means initializer and the local
+    stage; the deviation bound uses the total sample count.  The stack
+    is consumed: on return each row's local split holds its scores.  The
+    checks, the split, I_R^{-1} and the bound are shared by the rows: a
+    ConfigurationError raises for the whole block.  Returns per row a
+    ReportHd, or the EstimationError that row's score underflow raised.
+    """
+    n = samples.shape[1]
+    k, n_init = _split(base, cfg, n)
     engine = SmoothedModelHd(base, cfg.r)
     fisher = fisher_hd(engine)
     fisher_inv = fisher.inverse()
     t_evals = _t_eigenvalues(fisher_inv, cfg.norm_matrix(base.dim))
     bound = _bound(t_evals, n, cfg.delta, cfg.eta)
     d_eff = float(np.sum(t_evals) / np.max(np.abs(t_evals)))
-    lambda1 = _gmom_rows(init, k)
-    lambda_hat, errors = _local_rows(engine, fisher_inv, local, lambda1,
-                                     [s.derive(2) for s in seeds])
+    lambda1 = _gmom_rows(samples[:, :n_init], k)
+    lambda_hat, errors = _local_rows(engine, fisher_inv, samples[:, n_init:],
+                                     lambda1, [s.derive(2) for s in seeds])
     return [
         err if err is not None else ReportHd(
             lambda_hat=hat,
@@ -352,40 +362,20 @@ def _split_rows(base: ProductDensity, k: int, init: np.ndarray,
     ]
 
 
-def global_mle_hd_rows(base: ProductDensity, samples: np.ndarray,
-                       cfg: ConfigHd, seeds) -> list:
-    """global_mle_hd on each row of a (B, n, d) stack of finite samples.
-
-    Row b uses seeds[b] as global_mle_hd uses its seed.  _split divides
-    each row between the median-of-means initializer and the local
-    stage; the deviation bound uses the total sample count.  The stack
-    is the step's workspace: each row's local split is perturbed and
-    scored in place, and holds its scores on return.  The checks, the
-    split, I_R^{-1} and the bound are shared by the rows: a
-    ConfigurationError raises for the whole block.  Returns per row a
-    ReportHd, or the EstimationError that row's score underflow raised.
-    """
-    k, n_init = _split(base, cfg, samples.shape[1])
-    return _split_rows(base, k, samples[:, :n_init], samples[:, n_init:], cfg,
-                       seeds)
-
-
 def global_mle_hd(base: ProductDensity, samples, cfg: ConfigHd,
                   seed: RngSeed) -> ReportHd:
     """Robust initialization plus one smoothed-score correction step.
 
     The sample split and the bound are global_mle_hd_rows's.
     """
-    x = np.asarray(samples, dtype=float)
+    x = np.array(samples, dtype=float, order="C")  # a copy: the step consumes it
     if x.ndim != 2:
         raise PreconditionError("samples must be an (n, d) array")
     _, dim = x.shape
     if dim != base.dim:
         raise PreconditionError(f"samples have dimension {dim}, model has {base.dim}")
     require_finite_samples(x)
-    k, n_init = _split(base, cfg, x.shape[0])
-    rep = _split_rows(base, k, x[None, :n_init], x[None, n_init:].copy(), cfg,
-                      [seed])[0]
+    rep = global_mle_hd_rows(base, x[None], cfg, [seed])[0]
     if isinstance(rep, Exception):
         raise rep
     return rep

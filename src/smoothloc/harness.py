@@ -276,14 +276,15 @@ def _run_blocks(estimate_rows, base, cfg, n: int, seeds, lambda_scale: float,
     straight into its row of the block's stack, where the shift is
     added in place.
     estimate_rows runs once per block on its (B, n[, dim]) stack, with
-    seeds[t].derive(3) for trial t's row, and owns the stack: the 1-d
-    quantile start reorders it and the local step leaves its scores there.  rep is the trial's entry of what
-    estimate_rows returns, or an "error: ..." note in place of an
-    exception: a whole-block failure is every row's note.  A
-    lambda_scale past float64 resolution of the model's samples is
-    rejected up front.
+    seeds[t].derive(3) for trial t's row, and owns and consumes the
+    stack.  rep is the trial's entry of what estimate_rows returns, or
+    an "error: ..." note in place of an exception: a whole-block failure
+    is every row's note.  A negative lambda_scale, or one past float64
+    resolution of the model's samples, is rejected up front.
     """
     require_resolvable_shift(base, lambda_scale, "lambda-scale")
+    if not lambda_scale >= 0:
+        raise PreconditionError(f"lambda-scale must be >= 0, got {lambda_scale}")
     shape = (n,) if dim is None else (n, dim)
     size = max(1, min(_BLOCK_TRIALS, _BLOCK_COORDS // max(math.prod(shape), 1)))
 

@@ -311,8 +311,9 @@ def check_score_inversion_bias(m: SmoothedModelHd, eps) -> InversionBiasCheck:
     """
     eps = np.broadcast_to(np.asarray(eps, dtype=float), (m.dim,))
     quad_form = float(np.sum(np.square(eps)) / m.r**2)
-    if quad_form > 0.25 + 1e-12:
-        raise PreconditionError("requires eps^T R^{-1} eps <= 1/4")
+    if not quad_form <= 0.25 + 1e-12:  # written so that NaN fails too
+        raise PreconditionError(
+            f"requires eps^T R^{{-1}} eps <= 1/4, got eps = {eps.tolist()}")
     engines = _coord_engines(m)
     bias = np.empty(m.dim)
     inv_diag = np.empty(m.dim)
@@ -337,8 +338,8 @@ class TaylorCheck:
 def expected_score_taylor_check(m: SmoothedModel1d, eps: float) -> TaylorCheck:
     """E_{x~f_r}[s_r(x - eps)] against its linearization I_r * eps."""
     eps = float(eps)
-    if abs(eps) > m.r / 2 + 1e-12:
-        raise PreconditionError("requires |eps| <= r/2")
+    if not abs(eps) <= m.r / 2 + 1e-12:  # written so that NaN fails too
+        raise PreconditionError(f"requires |eps| <= r/2, got eps = {eps}")
     lhs = expected_shifted_score(m, -eps)
     linear = fisher_1d(m) * eps
     return TaylorCheck(lhs, linear, lhs - linear)

@@ -405,11 +405,30 @@ def test_block_rows_in_any_slices_are_the_single_calls(block, monkeypatch):
 ], ids=["global_mle_hd", "local_mle_hd"])
 def test_public_estimators_leave_the_callers_samples_unwritten(estimate):
     # the rows functions perturb and score the local split in place; the
-    # public ones hand them a copy of it
+    # public ones hand them a copy
     x = LAP4.sample(2000, RngSeed(50))
     before = hashlib.sha256(x.tobytes()).hexdigest()
     estimate(x)
     assert hashlib.sha256(x.tobytes()).hexdigest() == before
+
+
+def _global_estimates(x):
+    rep = global_mle_hd(LAP4, x, ConfigHd(delta=0.1, r=0.5), RngSeed(53))
+    return rep.lambda_hat, rep.lambda_initial
+
+
+@pytest.mark.parametrize("estimate", [
+    _global_estimates,
+    lambda x: local_mle_hd(LAP4, 0.5, x, np.full(4, 0.1), RngSeed(54)),
+    lambda x: geometric_median_of_means(x, 0.1),
+], ids=["global_mle_hd", "local_mle_hd", "geometric_median_of_means"])
+def test_public_estimators_ignore_the_callers_memory_layout(estimate):
+    # the bucket means and the mean score are reductions whose summation
+    # order follows the layout; a Fortran-ordered sample once moved both
+    # estimates by about 1e-17
+    y = LAP4.sample(4000, RngSeed(55))
+    for x in (np.asfortranarray(y[:2000]), y[::2]):
+        assert np.array_equal(estimate(x), estimate(np.ascontiguousarray(x)))
 
 
 def test_block_step_allocates_slices_only():

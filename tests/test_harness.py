@@ -33,6 +33,7 @@ from smoothloc import (
     run_fisher_sweep,
     run_sawtooth_phase,
 )
+from smoothloc import cli
 from smoothloc.harness import EXPERIMENTS
 
 SUMMARY_RE = re.compile(
@@ -784,6 +785,17 @@ def test_cli_bench_experiment_mismatch(tmp_path):
     assert res.stderr.startswith("error:")
 
 
+def test_cli_bench_config_that_is_not_utf8(tmp_path, capsys):
+    # byte 0xff once escaped as a UnicodeDecodeError traceback, exit 1
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_bytes(b"experiment = coverage\n\xff\n")
+    rc = cli.main(["bench", "coverage", "--config", str(cfg),
+                   "--out", str(tmp_path / "o.csv")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: config file ") and "bad.cfg" in err
+
+
 @pytest.mark.parametrize("threads", ["0", "-3"])
 def test_cli_bench_threads_override_range_checked(tmp_path, threads):
     cfg = tmp_path / "c.cfg"
@@ -945,6 +957,21 @@ def test_shift_past_float_resolution_is_rejected():
                   "1.79e308", "--n", "1000", "--delta", "0.1", "--seed", "1")
     assert res.returncode == 2
     assert res.stderr.startswith("error: --lambda-true = 1.79e+308 is too large")
+
+
+@pytest.mark.parametrize("run", [
+    lambda s: run_coverage("laplace(0,1)", 400, 3, 0.1, seed=1, lambda_scale=s),
+    lambda s: run_coverage_hd("product(laplace(0,1)^2)", 400, 3, 0.1, 0.5,
+                              seed=1, lambda_scale=s),
+    lambda s: run_sawtooth_phase(0.05, 4, [1000], 3, 0.1, seed=1,
+                                 lambda_scale=s),
+], ids=["coverage", "coverage-hd", "sawtooth-phase"])
+def test_negative_lambda_scale_is_rejected_by_name(run):
+    # the config grammar range-checks lambda-scale; a library call once
+    # reached numpy's "high - low < 0" inside the first block
+    with pytest.raises(PreconditionError,
+                       match=r"^lambda-scale must be >= 0, got -2\.0$"):
+        run(-2.0)
 
 
 @pytest.mark.parametrize("experiment,line", [

@@ -28,6 +28,7 @@ from smoothloc import (
     fisher_hd,
     parse_config,
     parse_model,
+    score_vector_generator,
     smoothed_pdf_1d,
     smoothed_score_1d,
     smoothed_score_hd,
@@ -612,6 +613,23 @@ def test_taylor_check():
         assert abs(chk.residual) / (math.sqrt(i_r) * eps**2) <= 10.0
     with pytest.raises(PreconditionError):
         expected_score_taylor_check(lap, 0.6)
+
+
+_LAP2 = SmoothedModelHd(parse_model("product(laplace(0,1)^2)"), 1.0)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("check", [
+    lambda e: check_score_inversion_bias(_LAP2, [e, 0.1]),
+    lambda e: expected_score_taylor_check(SmoothedModel1d(Laplace(0, 1), 1.0), e),
+    lambda e: score_vector_generator(_LAP2, [e, 0.0]),
+], ids=["check_score_inversion_bias", "expected_score_taylor_check",
+        "score_vector_generator"])
+def test_non_finite_offsets_are_rejected_by_name(check, bad):
+    # a NaN offset once passed the `> bound` guards: the first two
+    # returned NaN, and the generator failed later on "Sigma must be finite"
+    with pytest.raises(PreconditionError, match=r"requires .*, got eps = "):
+        check(bad)
 
 
 def test_score_moments_gaussian():
