@@ -42,11 +42,11 @@ from typing import Callable, Iterator
 
 import numpy as np
 
-from .errors import ConfigurationError, PreconditionError, require_sym_psd
-from .models import ProductDensity
+from .errors import (ConfigurationError, PreconditionError, TailUnderflowError,
+                     require_sym_psd)
 from .rng import RngSeed
-from .smoothing import (SmoothedModelHd, _coord_engines, expected_shifted_score,
-                        fisher_hd, smoothed_score_hd)
+from .smoothing import (SmoothedModelHd, _coord_engines, _perturbed_scores,
+                        _small_offset, expected_shifted_score, fisher_hd)
 
 
 # Coordinates per chunk of the streamed norm quantile: 2^16 float64
@@ -230,16 +230,11 @@ def score_vector_generator(m: SmoothedModelHd, eps) -> VectorGenerator:
     covariance growth; the scale matrix is 15 (r^2 diag(I_r))^{1/2}.
     Requires eps^T R^{-1} eps <= 1/4, the regime where the inflation
     factor form is valid.  Its draws come from two derived streams, the
-    sample and the noise, each drawn in one call, so it yields all n
-    rows as one chunk.
+    sample and the noise: the sample is drawn in one call and scored in
+    place (smoothing._perturbed_scores), so it yields one chunk of n rows.
     """
-    if not isinstance(m.base, ProductDensity):
-        raise PreconditionError("score-vector generator expects a product density")
-    eps = np.broadcast_to(np.asarray(eps, dtype=float), (m.dim,)).copy()
-    quad_form = float(np.sum(eps * eps)) / (m.r * m.r)
-    if not quad_form <= 0.25 + 1e-12:  # written so that NaN fails too
-        raise PreconditionError(
-            f"requires eps^T R^-1 eps <= 1/4, got eps = {eps.tolist()}")
+    eps, quad_form = _small_offset(m, eps)
+    engines = _coord_engines(m)
     fisher_diag = np.diag(fisher_hd(m).matrix)
     m_prime = m.r * m.r * fisher_diag
     inv_norm = 1.0 / float(fisher_diag.min())
@@ -247,13 +242,17 @@ def score_vector_generator(m: SmoothedModelHd, eps) -> VectorGenerator:
                        * math.sqrt(max(1.0, math.log(inv_norm / (m.r * m.r)))))
     spec = SubgammaSpec(inflation * m_prime, 15.0 * np.sqrt(m_prime))
     centers = np.array([expected_shifted_score(e, float(ej))
-                        for e, ej in zip(_coord_engines(m), eps)])
+                        for e, ej in zip(engines, eps)])
 
     def chunks(n, seed, rows):
-        y = m.base.sample(n, seed.derive(1))
-        noise = seed.derive(2).generator().standard_normal(y.shape)
-        scores = smoothed_score_hd(m, y + m.r * noise + eps)
-        yield m.r * (scores - centers)
+        x = m.base.sample(n, seed.derive(1))
+        # x + r * noise - (-eps) rounds as x + r * noise + eps
+        (first,) = _perturbed_scores(engines, x[None], -eps[None], [seed.derive(2)])
+        if first is not None:
+            raise TailUnderflowError(f"coordinate {first[0]} value {first[1]}", m.r)
+        x -= centers
+        x *= m.r
+        yield x
 
     return VectorGenerator("score-vector", m.dim, spec, chunks)
 

@@ -13,8 +13,8 @@ global_mle_1d_rows alone splits, starts and steps a stack, and owns
 and consumes it: the quantile start selects in place in each row's
 initialization split, and the Newton step perturbs and scores each
 row's local split in place, through the high-d path at d = 1
-(smoothing._perturbed_mean_scores); this module divides by I_r.  So a
-trial holds its sample and the step's slices only.  global_mle_1d is
+(smoothing._perturbed_scores), then divides the mean score by I_r.  So
+a trial holds its sample and the step's slices only.  global_mle_1d is
 the B = 1 call on a copy of its sample, and the other public functions
 copy their input too, so a caller's samples are never written.
 """
@@ -36,7 +36,7 @@ from .errors import (
 )
 from .models import Density1d
 from .rng import RngSeed
-from .smoothing import SmoothedModel1d, _perturbed_mean_scores, fisher_1d
+from .smoothing import SmoothedModel1d, _perturbed_scores, fisher_1d
 
 _TIE_TOL = 1e-12
 
@@ -93,14 +93,13 @@ def _local_rows(engine: SmoothedModel1d, x: np.ndarray, lambda1: np.ndarray,
     """local_mle_1d on each row of (B, n) checked samples from (B,) starts,
     row b's noise from seeds[b]: per row the estimate or its EstimationError.
     x is the step's workspace and holds the scores on return."""
-    means, firsts = _perturbed_mean_scores((engine,), x[:, :, None],
-                                           lambda1[:, None], seeds)
+    firsts = _perturbed_scores((engine,), x[:, :, None], lambda1[:, None], seeds)
     fisher = fisher_1d(engine)
     return [
-        float(lam - mean[0] / fisher) if first is None else EstimationError(
+        float(lam - mean / fisher) if first is None else EstimationError(
             f"smoothed score underflowed at perturbed sample {first[1]} "
             f"(r={engine.r}, lambda1={lam}); initialization is likely far off")
-        for lam, mean, first in zip(lambda1, means, firsts)
+        for lam, mean, first in zip(lambda1, x.mean(axis=1), firsts)
     ]
 
 

@@ -10,15 +10,14 @@ sets, one row per trial, each row with its own noise stream.
 global_mle_hd_rows alone splits, starts and steps a stack, and owns and
 consumes it.  Weiszfeld advances every row's bucket means together and
 freezes each row when its own test stops it; each row's local split is
-perturbed and scored in place, in slices
-(smoothing._perturbed_mean_scores, the 1-d step's path too); the step
-is I_R^{-1} times each row's mean score.  A row gets the same numbers,
-bit for bit, as it would alone, and one row's score underflow becomes
-that row's error, never the block's.  What the rows share (the checks,
-the split, I_R^{-1}, the bound) is computed once per block.  The
-single-trial functions are the B = 1 case, run on a C-ordered copy of
-their input, so a caller's samples are never written and their memory
-layout never changes a bit.
+perturbed and scored in place, in slices (smoothing._perturbed_scores,
+the 1-d step's path too); the step is I_R^{-1} times each row's mean
+score.  A row gets the same numbers, bit for bit, as it would alone,
+and one row's score underflow becomes that row's error, never the
+block's.  What the rows share (the checks, the split, I_R^{-1}, the
+bound) is computed once per block.  The single-trial functions are the
+B = 1 case, run on a C-ordered copy of their input, so a caller's
+samples are never written and their memory layout never changes a bit.
 
 Error reports use the M-norm sqrt(x^T M x) and the deviation bound
 (1+eta)*sqrt(Tr T/n) + 5*sqrt(||T|| log(4/delta)/n) with
@@ -48,7 +47,7 @@ from .smoothing import (
     FisherMatrix,
     SmoothedModelHd,
     _coord_engines,
-    _perturbed_mean_scores,
+    _perturbed_scores,
     fisher_hd,
 )
 
@@ -128,6 +127,8 @@ def m_norm(x, M) -> float:
     x = np.asarray(x, dtype=float)
     M = np.asarray(M, dtype=float)
     _require_norm_matrix(M)
+    if x.shape != M.shape[:1] or not np.all(np.isfinite(x)):
+        raise PreconditionError(f"x must be a finite {len(M)}-vector, got {x.tolist()}")
     return _m_norm(x, M)
 
 
@@ -240,12 +241,12 @@ def _local_rows(engine: SmoothedModelHd, fisher_inv: np.ndarray, x: np.ndarray,
     an erring row's estimate is meaningless.  x is the step's workspace
     and holds the scores on return.
     """
-    means, firsts = _perturbed_mean_scores(_coord_engines(engine), x, lambda1, seeds)
+    firsts = _perturbed_scores(_coord_engines(engine), x, lambda1, seeds)
     errors = [None if first is None else EstimationError(
         f"smoothed score underflowed (coordinate {first[0]} value {first[1]}, "
         f"r={engine.r}); initialization is likely far off") for first in firsts]
     # I_R^{-1} @ mean as one matrix-vector product per row
-    step = (fisher_inv @ means[:, :, None])[:, :, 0]
+    step = (fisher_inv @ x.mean(axis=1)[:, :, None])[:, :, 0]
     return lambda1 - step, errors
 
 
@@ -297,8 +298,11 @@ def theoretical_bound_hd(fisher: FisherMatrix, M, n: int, delta: float,
 
     T = M^{1/2} I_R^{-1} M^{1/2}; ||T|| is the spectral norm.
     """
-    if n < 1:
-        raise PreconditionError("n must be >= 1")
+    if not (isinstance(n, (int, np.integer)) and n >= 1):
+        raise PreconditionError(f"n must be an integer >= 1, got {n}")
+    for name, p in (("delta", delta), ("eta", eta)):
+        if not 0.0 < p < 1.0:  # written so that NaN fails too
+            raise PreconditionError(f"{name} must be in (0, 1), got {p}")
     M = np.asarray(M, dtype=float)
     _require_norm_matrix(M)
     return _bound(_t_eigenvalues(fisher.inverse(), M), n, delta, eta)

@@ -11,12 +11,12 @@ with variance sigma^2 + r^2, Laplace becomes the normal-Laplace density
 (one erfc and one erfcx per point), and the sawtooth is N(0, 1 + r^2)
 plus its smoothed ripple, read from a cached grid of exact values and
 derivatives.  Each point's value depends on that point alone, so one
-slice scorer, _score_slice, serves the public scores and both local
-steps with the bits of one whole call: it writes the scores over the
-points, _LOOKUP_BLOCK points at a time.  The local step,
-_perturbed_mean_scores, uses the stack's local split as its workspace:
-per slice it draws the rows' noise into one slice-long buffer, perturbs
-and scores the points there and writes the scores back over the split.
+scorer, _score_in_place, writes scores over points _LOOKUP_BLOCK at a
+time with the bits of one whole call.  _perturbed_scores alone perturbs:
+per slice of a (B, n, d) stack it draws the rows' noise into one buffer,
+perturbs and scores the points there and writes them back.  Both local
+steps and the two Monte Carlo score diagnostics run it on their
+samples, so each holds its sample plus slices.
 Integrals over x (Fisher information, expected shifted scores) use
 composite Gauss-Legendre panels whose edges sit on every kink of the
 base density and at geometric multiples of r around it, where f_r
@@ -106,60 +106,45 @@ def smoothed_score_1d(m: SmoothedModel1d, x):
     x = np.asarray(x, dtype=float)
     require_finite_samples(x)
     score = x.reshape(-1, 1).copy()
-    first = _score_in_place((m,), score)
+    (first,) = _score_in_place((m,), score, (0,), [None], 0, len(score))
     if first is not None:
         raise TailUnderflowError(first[1], m.r)
     return float(score[0, 0]) if x.ndim == 0 else score.reshape(x.shape)
 
 
-def _score_slice(engines, pts: np.ndarray, coords, firsts: list, b0: int,
-                 n: int) -> None:
-    """Write over an (m, d) slice of a stack of n-point rows its smoothed
-    scores: whole rows from row b0 on, or a piece of row b0.
-
-    engines[j] scores coordinate j, for j in `coords`.  firsts[b] keeps,
-    as (j, x), row b's first underflow (f_r < 1e-300) in the least j;
-    slices must come in point order.
-    """
-    for j in coords:
-        col = pts[:, j]
-        log_pdf, score = _log_pdf_and_score(engines[j], col)
-        bad = np.flatnonzero(~(log_pdf > _LOG_UNDERFLOW))
-        rows_bad, first_bad = np.unique(bad // n, return_index=True)
-        for row, p in zip(rows_bad, bad[first_bad]):
-            # an earlier slice's find in the same j came at an earlier point
-            if firsts[b0 + row] is None or j < firsts[b0 + row][0]:
-                firsts[b0 + row] = (j, float(col[p]))
-        col[...] = score
-
-
-def _score_in_place(engines, pts: np.ndarray, coords=None):
-    """Write over an (n, d) point array its smoothed scores, in slices.
-
-    engines[j] scores coordinate j, for j in `coords` (default all).
-    Returns (j, x), the first point x with f_r < 1e-300 in the first
-    such j, or None.
-    """
-    n, d = pts.shape
-    coords = range(d) if coords is None else coords
-    firsts = [None]
-    for i0 in range(0, n, _LOOKUP_BLOCK):
-        _score_slice(engines, pts[i0 : i0 + _LOOKUP_BLOCK], coords, firsts, 0, n)
-    return firsts[0]
+def _score_in_place(engines, pts: np.ndarray, coords, firsts: list, b0: int,
+                    n: int) -> list:
+    """Write over (m, d) points, whole n-point rows of a stack from row b0
+    on or a piece of row b0, their smoothed scores in `coords`,
+    engines[j] scoring coordinate j, _LOOKUP_BLOCK points at a time.
+    firsts[b] keeps, as (j, x), row b's first underflow (f_r < 1e-300)
+    in the least j; calls must come in point order.  Returns firsts."""
+    for i0 in range(0, len(pts), _LOOKUP_BLOCK):
+        for j in coords:
+            col = pts[i0 : i0 + _LOOKUP_BLOCK, j]
+            log_pdf, score = _log_pdf_and_score(engines[j], col)
+            bad = i0 + np.flatnonzero(~(log_pdf > _LOG_UNDERFLOW))
+            rows_bad, first_bad = np.unique(bad // n, return_index=True)
+            for row, p in zip(rows_bad, bad[first_bad]):
+                # an earlier slice's find in the same j came at an earlier point
+                if firsts[b0 + row] is None or j < firsts[b0 + row][0]:
+                    firsts[b0 + row] = (j, float(pts[p, j]))
+            col[...] = score
+    return firsts
 
 
-def _perturbed_mean_scores(engines, x: np.ndarray, lambda1: np.ndarray,
-                           seeds) -> tuple[np.ndarray, list]:
-    """Per row of (B, n, d) samples, the mean score of x[b] + r * noise -
-    lambda1[b], its noise drawn from seeds[b]; and per row (j, x), the
-    first perturbed point x with f_r < 1e-300 in the first such
-    coordinate j, or None.
+def _perturbed_scores(engines, x: np.ndarray, shift: np.ndarray, seeds,
+                      coords=None) -> list:
+    """Score in place each row of (B, n, d) samples at x[b] + r * noise -
+    shift[b], its noise from seeds[b], in `coords` (default all); the
+    other coordinates keep the perturbed points.  Returns per row (j, x),
+    the first point x with f_r < 1e-300 in the least such j, or None.
 
-    x is the workspace: slice by slice, the rows' noise is drawn into one
-    slice-long buffer, perturbed and scored there and written back, so
-    on return x holds the scores.
+    Slice by slice, the rows' noise is drawn into one slice-long buffer,
+    perturbed and scored there and written back over x.
     """
     rows, n, d = x.shape
+    coords = range(d) if coords is None else coords
     # a slice is up to _LOOKUP_BLOCK points: whole rows, or a piece of one
     per = max(_LOOKUP_BLOCK // n, 1)
     gens = [seed.generator() for seed in seeds]
@@ -172,13 +157,13 @@ def _perturbed_mean_scores(engines, x: np.ndarray, lambda1: np.ndarray,
             for gen, noise in zip(gens[b0 : b0 + per], pts):
                 # one row's draws in pieces are its draws in one call
                 gen.standard_normal(out=noise)
-            # x + r * noise - lambda1: the same roundings, no temporaries
+            # x + r * noise - shift: the same roundings, no temporaries
             pts *= engines[0].r
             pts += sl
-            pts -= lambda1[b0 : b0 + per, None, :]
-            _score_slice(engines, pts.reshape(-1, d), range(d), firsts, b0, n)
+            pts -= shift[b0 : b0 + per, None, :]
+            _score_in_place(engines, pts.reshape(-1, d), coords, firsts, b0, n)
             sl[...] = pts
-    return x.mean(axis=1), firsts
+    return firsts
 
 
 def _panel_rule(m: SmoothedModel1d, shift: float = 0.0):
@@ -281,7 +266,7 @@ def smoothed_score_hd(m: SmoothedModelHd, x, coords=None):
     cols = list(dict.fromkeys(cols))
     score = np.zeros(pts.shape)
     score[:, cols] = pts[:, cols]
-    first = _score_in_place(_coord_engines(m), score, cols)
+    (first,) = _score_in_place(_coord_engines(m), score, cols, [None], 0, len(score))
     if first is not None:
         raise TailUnderflowError(f"coordinate {first[0]} value {first[1]}", m.r)
     return score[0] if squeeze else score
@@ -302,6 +287,20 @@ class InversionBiasCheck:
     bias: np.ndarray
 
 
+def _small_offset(m: SmoothedModelHd, eps) -> tuple[np.ndarray, float]:
+    """eps as a new (dim,) array, and eps^T R^{-1} eps, which must be <= 1/4."""
+    eps = np.asarray(eps, dtype=float)
+    if eps.ndim > 1 or eps.size not in (1, m.dim):
+        raise PreconditionError(f"eps must be a scalar or {m.dim} offsets, one per "
+                                f"dimension, got shape {eps.shape}")
+    eps = np.broadcast_to(eps, (m.dim,)).copy()
+    quad_form = float(np.sum(np.square(eps)) / m.r**2)
+    if not quad_form <= 0.25 + 1e-12:  # written so that NaN fails too
+        raise PreconditionError(
+            f"requires eps^T R^{{-1}} eps <= 1/4, got eps = {eps.tolist()}")
+    return eps, quad_form
+
+
 def check_score_inversion_bias(m: SmoothedModelHd, eps) -> InversionBiasCheck:
     """Bias of one exact-score Newton step from offset eps.
 
@@ -309,15 +308,10 @@ def check_score_inversion_bias(m: SmoothedModelHd, eps) -> InversionBiasCheck:
     quadrature and the quadratic-scaling reference value
     sqrt(||I_R^{-1}||) * (eps^T R^{-1} eps).
     """
-    eps = np.broadcast_to(np.asarray(eps, dtype=float), (m.dim,))
-    quad_form = float(np.sum(np.square(eps)) / m.r**2)
-    if not quad_form <= 0.25 + 1e-12:  # written so that NaN fails too
-        raise PreconditionError(
-            f"requires eps^T R^{{-1}} eps <= 1/4, got eps = {eps.tolist()}")
-    engines = _coord_engines(m)
+    eps, quad_form = _small_offset(m, eps)
     bias = np.empty(m.dim)
     inv_diag = np.empty(m.dim)
-    for j, (e, ej) in enumerate(zip(engines, eps)):
+    for j, (e, ej) in enumerate(zip(_coord_engines(m), eps)):
         fisher = fisher_1d(e)
         inv_diag[j] = 1.0 / fisher
         if ej == 0.0:
@@ -372,17 +366,19 @@ def score_moment_check(m: SmoothedModelHd, v, k: int, n_mc: int,
         raise PreconditionError("n_mc must be >= 10^4")
     k = int(k)
     y = m.base.sample(n_mc, seed.derive(1))
-    noise = seed.derive(2).generator().standard_normal(y.shape)
     active = tuple(int(j) for j in np.nonzero(v)[0])
-    scores = smoothed_score_hd(m, y + m.r * noise, coords=active)
-    proj = m.r * (scores @ v)  # R^{1/2} = r I
-    powered = np.abs(proj) ** k
-    moment = float(powered.mean())
-    se = float(powered.std(ddof=1) / math.sqrt(n_mc))
-    signed = proj**k
     engines = _coord_engines(m)
+    (first,) = _perturbed_scores(engines, y[None], np.zeros((1, m.dim)),
+                                 [seed.derive(2)], active)
+    if first is not None:
+        raise TailUnderflowError(f"coordinate {first[0]} value {first[1]}", m.r)
+    y[:, v == 0] = 0.0  # perturbed points, outside v's support
+    proj = m.r * (y @ v)  # R^{1/2} = r I
+    powered = np.abs(proj) ** k
+    signed = proj**k
     quad_form = m.r**2 * sum(v[j] ** 2 * fisher_1d(engines[j]) for j in active)
     ceiling = 1.6 ** (k - 2) * k ** (k / 2.0) * quad_form
-    return MomentCheck(moment, float(ceiling), se,
-                       float(signed.mean()),
-                       float(signed.std(ddof=1) / math.sqrt(n_mc)))
+    root_n = math.sqrt(n_mc)
+    return MomentCheck(float(powered.mean()), float(ceiling),
+                       float(powered.std(ddof=1) / root_n), float(signed.mean()),
+                       float(signed.std(ddof=1) / root_n))

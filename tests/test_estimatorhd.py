@@ -448,8 +448,9 @@ def test_block_step_allocates_slices_only():
 
 
 def test_local_step_memory_is_one_and_a_half_samples():
-    # beside its sample the step holds one perturbed copy of the local
-    # split, scored in place, and one slice of temporaries
+    # beside the caller's sample, global_mle_hd holds one C-ordered copy
+    # of the whole sample, whose local split the step scores in place,
+    # and one slice of temporaries
     x = LAP4.sample(10**6, RngSeed(3))
     cfg = ConfigHd(delta=0.1, r=0.5)
     global_mle_hd(LAP4, x[:1000], cfg, RngSeed(4))  # fill the Fisher caches
@@ -471,6 +472,10 @@ def test_m_norm_examples():
     assert m_norm([1.0, 1.0], np.diag([1.0, 1.0])) == pytest.approx(math.sqrt(2))
     with pytest.raises(PreconditionError):
         m_norm([1.0, 1.0], np.array([[1.0, 0.5], [0.0, 1.0]]))
+    # a NaN gave nan, and a length mismatch numpy's matmul ValueError
+    for x in ([math.nan, 1.0], [1.0, 2.0, 3.0]):
+        with pytest.raises(PreconditionError, match="^x must be"):
+            m_norm(x, np.eye(2))
 
 
 def test_bound_closed_form_identity_norm():
@@ -504,6 +509,19 @@ def test_bound_validation():
         theoretical_bound_hd(fisher, np.eye(2), 0, 0.1, 0.25)
     with pytest.raises(PreconditionError):
         theoretical_bound_hd(fisher, np.array([[1.0, 2.0], [0.0, 1.0]]), 10, 0.1, 0.25)
+
+
+@pytest.mark.parametrize("name,args", [
+    ("delta", (100, math.nan, 0.25)), ("delta", (100, 0.0, 0.25)),
+    ("delta", (100, -0.5, 0.25)), ("delta", (100, 1.0, 0.25)),
+    ("eta", (100, 0.1, math.nan)), ("eta", (100, 0.1, -3.0)),
+    ("eta", (100, 0.1, 1.0)), ("n", (2.5, 0.1, 0.25)),
+])
+def test_bound_rejects_bad_parameters_by_name(name, args):
+    # NaN delta or eta gave nan, delta = 0 ZeroDivisionError, delta < 0 a
+    # math domain error, eta = -3 a bound of 0.958, and n = 2.5 was accepted
+    with pytest.raises(PreconditionError, match=f"^{name} must be"):
+        theoretical_bound_hd(FisherMatrix(0.5 * np.eye(2)), np.eye(2), *args)
 
 
 # -- full pipeline --------------------------------------------------------------

@@ -362,6 +362,30 @@ def test_laplace_smoothed_holds_five_slices(k, slices):
     assert peak <= slices * u.nbytes
 
 
+_LAP4 = SmoothedModelHd(parse_model("product(laplace(0,1)^4)"), 0.5)
+
+
+@pytest.mark.parametrize("run", [
+    lambda n: score_moment_check(_LAP4, np.array([1.0, 0.0, 0.0, 0.0]), 4, n,
+                                 RngSeed(9)),
+    lambda n: score_vector_generator(_LAP4, [0.1, 0.0, -0.05, 0.2]).draw(
+        n, RngSeed(21)),
+], ids=["score_moment_check", "score_vector_draw"])
+def test_score_diagnostics_hold_their_sample_and_slices(run):
+    # the sample, perturbed and scored in place slice by slice, plus a few
+    # (n,) arrays; a whole perturbed copy and its scores would be 3 samples
+    n = 10**5
+    sample_bytes = n * _LAP4.dim * 8
+    run(10**4)  # fill the Fisher caches
+    tracemalloc.start()
+    try:
+        run(n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5 * sample_bytes
+
+
 @pytest.mark.parametrize("r", [1e-4, 0.25])
 @pytest.mark.parametrize("b", [1.0, 2.0])
 def test_laplace_smoothed_far_points_finite_without_warnings(b, r):
@@ -632,6 +656,15 @@ def test_non_finite_offsets_are_rejected_by_name(check, bad):
         check(bad)
 
 
+@pytest.mark.parametrize("check", [check_score_inversion_bias,
+                                   score_vector_generator])
+@pytest.mark.parametrize("eps", [[0.1, 0.1, 0.1], [[0.1, 0.1]], []])
+def test_offsets_of_the_wrong_shape_are_rejected_by_name(check, eps):
+    # three offsets on a 2-d model came out as numpy's broadcast ValueError
+    with pytest.raises(PreconditionError, match=r"^eps must be a scalar or 2 offsets"):
+        check(_LAP2, eps)
+
+
 def test_score_moments_gaussian():
     m = SmoothedModelHd(parse_model("product(gaussian(0,1)^2)"), 1.0)
     chk = score_moment_check(m, np.array([1.0, 0.0]), 4, 100_000, RngSeed(5))
@@ -657,6 +690,58 @@ def test_score_moments_preconditions():
         score_moment_check(m, v, 9, 100_000, RngSeed(1))
     with pytest.raises(PreconditionError):
         score_moment_check(m, v, 4, 5000, RngSeed(1))
+
+
+# float.hex of score_moment_check's MomentCheck fields on _LAP4 (n_mc =
+# 10^5, seed 9) per (k, v), and the sha256 of a 10^5-row score-vector draw
+# (seed 21), which spans several scoring slices
+MOMENT_CHECK_BITS = {
+    (3, "e1"): ("0x1.0e070a685e322p-4", "0x1.39320eaed79c9p+0",
+                "0x1.4c5d8956742ffp-13", "-0x1.427c99ee2b157p-12",
+                "0x1.1297f0ef96a11p-12"),
+    (4, "(e1+e2)/sqrt2"): ("0x1.84815e2825ae7p-5", "0x1.81c1c1775a3dcp+2",
+                           "0x1.ebb2ece2aba6fp-13", "0x1.84815e2825ae7p-5",
+                           "0x1.ebb2ece2aba6fp-13"),
+}
+SCORE_VECTOR_DIGEST = (
+    "93dbc59c2c8250d9e9f35f44329645003606880bc32f7fac67883b56be1010dc")
+
+
+def test_score_diagnostics_bits_are_frozen(monkeypatch):
+    vs = {"e1": np.array([1.0, 0.0, 0.0, 0.0]),
+          "(e1+e2)/sqrt2": np.array([1.0, 1.0, 0.0, 0.0]) / math.sqrt(2)}
+    for (k, name), want in MOMENT_CHECK_BITS.items():
+        chk = score_moment_check(_LAP4, vs[name], k, 100_000, RngSeed(9))
+        got = (chk.moment_abs, chk.ceiling, chk.se_abs, chk.moment_signed,
+               chk.se_signed)
+        assert tuple(float(f).hex() for f in got) == want
+    gen = score_vector_generator(_LAP4, [0.1, 0.0, -0.05, 0.2])
+    for block in (None, 1000):
+        if block is not None:
+            monkeypatch.setattr("smoothloc.smoothing._LOOKUP_BLOCK", block)
+        x = gen.draw(100_000, RngSeed(21))
+        assert hashlib.sha256(x.tobytes()).hexdigest() == SCORE_VECTOR_DIGEST
+
+
+def test_score_diagnostics_underflow_as_smoothed_score_hd(monkeypatch):
+    # with the underflow floor raised to log f_r = -3, ordinary draws
+    # underflow; each diagnostic reports the point that smoothed_score_hd
+    # reports for its whole perturbed sample, in the same words
+    monkeypatch.setattr("smoothloc.smoothing._LOG_UNDERFLOW", -3.0)
+    m = SmoothedModelHd(parse_model("product(laplace(0,1)^3)"), 0.5)
+    seed, eps = RngSeed(3), np.array([0.1, 0.0, 0.0])
+    y = m.base.sample(10**5, seed.derive(1))
+    pts = y + m.r * seed.derive(2).generator().standard_normal(y.shape)
+    for run, x, coords in [
+        (lambda: score_moment_check(m, np.array([0.0, 0.6, 0.8]), 4, 10**5, seed),
+         pts, [1, 2]),
+        (lambda: score_vector_generator(m, eps).draw(10**5, seed), pts + eps, None),
+    ]:
+        with pytest.raises(TailUnderflowError) as want:
+            smoothed_score_hd(m, x, coords=coords)
+        with pytest.raises(TailUnderflowError) as got:
+            run()
+        assert str(got.value) == str(want.value)
 
 
 def test_smoothed_model_validation():
