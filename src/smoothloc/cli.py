@@ -4,11 +4,14 @@ Subcommands: `estimate` and `estimate-hd` run one simulated estimation
 round (draw n samples from the model shifted by --lambda-true, then
 recover the shift), `fisher` prints a smoothed-Fisher sweep as CSV on
 stdout, and `bench` runs a config-file experiment to a CSV file.
+`main` builds its parser on the first call and reuses it for every
+later call in the process; `build_parser` makes a fresh one.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 
@@ -188,8 +191,14 @@ _COMMANDS = {
 }
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # parsing leaves a parser as it was, so one serves every main call
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
     except (ModelSpecError, ConfigurationError, PreconditionError,

@@ -66,6 +66,18 @@ def require_finite_samples(x) -> None:
         )
 
 
+def require_int(value, name: str, low: int, high: int | None = None) -> int:
+    """value as an int; PreconditionError naming `name` unless it is a
+    Python or numpy integer in [low, high] (no upper end if high is None).
+    A float is refused even when integral: 2.5 would truncate, NaN and
+    inf would not convert."""
+    if not (isinstance(value, (int, np.integer)) and low <= value
+            and (high is None or value <= high)):
+        span = f">= {low}" if high is None else f"in {low}..{high}"
+        raise PreconditionError(f"{name} must be an integer {span}, got {value}")
+    return int(value)
+
+
 def require_sym_psd(m: np.ndarray, subject: str) -> None:
     """Raise PreconditionError naming `subject` unless m is nonempty,
     finite, and either a 1-d array of nonnegative entries (the diagonal

@@ -39,6 +39,7 @@ from .errors import (
     EstimationError,
     PreconditionError,
     require_finite_samples,
+    require_int,
     require_sym_psd,
 )
 from .models import ProductDensity
@@ -148,44 +149,64 @@ def _row_norms(a: np.ndarray) -> np.ndarray:
     return np.sqrt((a[:, None, :] @ a[:, :, None])[:, 0, 0])
 
 
+def _weiszfeld_step(p: np.ndarray, y: np.ndarray, dist: np.ndarray,
+                    scratch=None) -> tuple[np.ndarray, np.ndarray]:
+    """One Weiszfeld step of each row of p from y, none at a data point.
+
+    The new iterate is the 1/dist-weighted mean of the row's points.
+    Returns it and which rows' relative step fell to _WEISZFELD_TOL.
+    dist is overwritten, and so is scratch, a (B, k, d) array if given.
+    """
+    w = np.divide(1.0, dist, out=dist)
+    y_next = np.add.reduce(np.multiply(p, w[:, :, None], out=scratch), axis=1)
+    y_next /= np.add.reduce(w, axis=1)[:, None]
+    step = _row_norms(y_next - y) / np.fmax(1.0, _row_norms(y_next))
+    return y_next, step <= _WEISZFELD_TOL
+
+
 def _weiszfeld(points: np.ndarray) -> np.ndarray:
     """Geometric median of each row of a (B, k, d) stack of point sets.
 
     Rows iterate together, and a row leaves the iteration when its own
     test stops it: the step falls to _WEISZFELD_TOL, all its points
     coincide, or the subgradient test passes at a data point (Vardi and
-    Zhang), else it is nudged off that point.  Every row runs the
-    iterations, and rounds the numbers, that it would run alone.  Rows
-    still moving after _WEISZFELD_CAP iterations keep their last iterate,
-    and one WARNING on the smoothloc logger counts them.
+    Zhang), else it is nudged off that point.  An iteration squares,
+    sums and roots each point's offset from its row's iterate in one
+    scratch stack (np.linalg.norm's rounding), and steps the rows at no
+    data point; only when some row sits at one are the others copied out
+    to step.  Every row runs the iterations, and rounds the numbers,
+    that it would run alone.  Rows still moving after _WEISZFELD_CAP
+    iterations keep their last iterate, and one WARNING on the smoothloc
+    logger counts them.
     """
     out = points.mean(axis=1)
     rows = np.arange(points.shape[0])
     p, y = points, out.copy()
     for _ in range(_WEISZFELD_CAP):
-        dist = np.linalg.norm(p - y[:, None, :], axis=2)
+        diff = np.subtract(p, y[:, None, :])
+        dist = np.add.reduce(np.multiply(diff, diff, out=diff), axis=2)
+        np.sqrt(dist, out=dist)
         at_point = dist < 1e-12
-        hit = at_point.any(axis=1)
-        stop = np.zeros(rows.size, dtype=bool)
-        for i in np.flatnonzero(hit):
-            # at a data point: subgradient optimality test, else nudge off it
-            rest = ~at_point[i]
-            if not rest.any():
-                stop[i] = True
-                continue
-            g = np.sum((p[i][rest] - y[i]) / dist[i][rest, None], axis=0)
-            gn = float(np.linalg.norm(g))
-            if gn <= np.count_nonzero(at_point[i]) + 1e-12:
-                stop[i] = True
-            else:
-                y[i] = y[i] + (1e-12 / gn) * g
-        free = np.flatnonzero(~hit)
-        if free.size:
-            w = 1.0 / dist[free]
-            y_next = (p[free] * w[:, :, None]).sum(axis=1) / w.sum(axis=1)[:, None]
-            step = _row_norms(y_next - y[free]) / np.fmax(1.0, _row_norms(y_next))
-            y[free] = y_next
-            stop[free] = step <= _WEISZFELD_TOL
+        if not at_point.any():
+            y, stop = _weiszfeld_step(p, y, dist, diff)
+        else:
+            hit = at_point.any(axis=1)
+            stop = np.zeros(rows.size, dtype=bool)
+            for i in np.flatnonzero(hit):
+                # at a data point: subgradient optimality test, else nudge off it
+                rest = ~at_point[i]
+                if not rest.any():
+                    stop[i] = True
+                    continue
+                g = np.sum((p[i][rest] - y[i]) / dist[i][rest, None], axis=0)
+                gn = float(np.linalg.norm(g))
+                if gn <= np.count_nonzero(at_point[i]) + 1e-12:
+                    stop[i] = True
+                else:
+                    y[i] = y[i] + (1e-12 / gn) * g
+            free = np.flatnonzero(~hit)
+            if free.size:
+                y[free], stop[free] = _weiszfeld_step(p[free], y[free], dist[free])
         if stop.any():
             out[rows[stop]] = y[stop]
             keep = ~stop
@@ -298,8 +319,7 @@ def theoretical_bound_hd(fisher: FisherMatrix, M, n: int, delta: float,
 
     T = M^{1/2} I_R^{-1} M^{1/2}; ||T|| is the spectral norm.
     """
-    if not (isinstance(n, (int, np.integer)) and n >= 1):
-        raise PreconditionError(f"n must be an integer >= 1, got {n}")
+    require_int(n, "n", 1)
     for name, p in (("delta", delta), ("eta", eta)):
         if not 0.0 < p < 1.0:  # written so that NaN fails too
             raise PreconditionError(f"{name} must be in (0, 1), got {p}")

@@ -39,7 +39,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import ModelSpecError, PreconditionError
+from .errors import ModelSpecError, PreconditionError, require_int
 from .rng import RngSeed
 
 _SQRT2PI = math.sqrt(2.0 * math.pi)
@@ -155,9 +155,7 @@ def _iqr(model: Density1d) -> float:
 
 
 def _sample_count(n) -> int:
-    if n < 1:
-        raise PreconditionError("sample requires n >= 1")
-    return int(n)
+    return require_int(n, "n", 1)
 
 
 def _require_out(out, shape: tuple) -> np.ndarray:

@@ -54,14 +54,20 @@ class RngSeed(ISeedSequence):
         """Child seed for a sub-task (trial number, phase, ...).
 
         Mixing is injective enough in practice that distinct index
-        tuples never collide across the stream space we use.
+        tuples never collide across the stream space we use.  The child
+        equals RngSeed(seed, stream) but skips the constructor's range
+        checks: the seed is this one's, and a splitmix64 output is an
+        unsigned 64-bit int by construction.
         """
         s = self.stream
         for ix in indices:
             if ix < 0:
                 raise PreconditionError("derive indices must be non-negative")
             s = _splitmix64(s ^ _splitmix64(int(ix) + 1))
-        return RngSeed(self.seed, s)
+        child = object.__new__(RngSeed)
+        object.__setattr__(child, "seed", self.seed)
+        object.__setattr__(child, "stream", s)
+        return child
 
     def generate_state(self, n_words: int, dtype=np.uint32) -> np.ndarray:
         """The Philox key: two uint64 words, the only request served.

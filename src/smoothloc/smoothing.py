@@ -38,7 +38,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import PreconditionError, TailUnderflowError, require_finite_samples
+from .errors import (PreconditionError, TailUnderflowError, require_finite_samples,
+                     require_int)
 from .models import _LOOKUP_BLOCK, Density1d, ProductDensity
 from .rng import RngSeed
 
@@ -358,13 +359,12 @@ def score_moment_check(m: SmoothedModelHd, v, k: int, n_mc: int,
     v = np.asarray(v, dtype=float)
     if v.shape != (m.dim,):
         raise PreconditionError(f"v must have dimension {m.dim}")
+    if not np.isfinite(v).all():  # a NaN norm would pass the unit test
+        raise PreconditionError(f"v must be finite, got {v.tolist()}")
     if abs(np.linalg.norm(v) - 1.0) > 1e-12:
         raise PreconditionError("v must be a unit vector within 1e-12")
-    if not 3 <= int(k) <= 8:
-        raise PreconditionError("k must be in 3..8")
-    if n_mc < 10_000:
-        raise PreconditionError("n_mc must be >= 10^4")
-    k = int(k)
+    k = require_int(k, "k", 3, 8)
+    n_mc = require_int(n_mc, "n_mc", 10_000)
     y = m.base.sample(n_mc, seed.derive(1))
     active = tuple(int(j) for j in np.nonzero(v)[0])
     engines = _coord_engines(m)

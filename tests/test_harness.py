@@ -831,6 +831,41 @@ _ESTIMATE = ("--n", "5000", "--delta", "0.1", "--seed", "1")
 _ESTIMATE_HD = ("--r", "0.5", "--eta", "0.25") + _ESTIMATE
 
 
+def test_cli_main_builds_its_parser_once(monkeypatch, tmp_path, capsys):
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text("experiment = coverage\nmodel = laplace(0,1)\nn = 400\n"
+                   "trials = 3\ndelta = 0.1\nseed = 1\n")
+    out = tmp_path / "o.csv"
+    calls = [
+        ["bench", "coverage", "--config", str(cfg), "--out", str(out)],
+        ["estimate", "--model", "laplace(0,1)", *_ESTIMATE],
+        ["estimate", "--model", "laplace(0,1)", "--n", "many"],  # argparse's exit
+        ["fisher", "--model", "laplace(0,1)", "--r-grid", "0.5,1"],
+    ]
+
+    def run(argv):
+        try:
+            rc = cli.main(argv)
+        except SystemExit as e:
+            rc = e.code
+        stdout, stderr = capsys.readouterr()
+        csv = out.read_bytes() if argv[0] == "bench" else b""
+        return rc, stdout, stderr, csv
+
+    alone = []
+    for argv in calls:
+        cli._parser.cache_clear()
+        alone.append(run(argv))
+    assert [res[0] for res in alone] == [0, 0, 2, 0]
+    built = []
+    build = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or build())
+    cli._parser.cache_clear()
+    assert [run(argv) for argv in calls] == alone
+    assert len(built) == 1
+    assert build() is not build()  # the public builder still makes a fresh one
+
+
 # Each crashed with a traceback (OverflowError, a math domain error), printed
 # fisher_at_r = inf, failed later with a misleading shift diagnosis, or (the
 # sawtooth) took seconds and hundreds of MB.

@@ -1,7 +1,9 @@
 """Model families: densities, quantiles, sampling, and the spec grammar."""
 
+import dataclasses
 import hashlib
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -23,6 +25,7 @@ from smoothloc import (
 )
 from smoothloc import models
 from smoothloc.models import _tri_wave
+from smoothloc.rng import _splitmix64
 
 SAW = GaussianSawtooth(0.05, 4.0)
 MIX = GaussianMixture((0.3, 0.7), (-1.0, 2.0), (0.5, 1.5))
@@ -143,6 +146,22 @@ def test_iqr_values_and_shift_invariance():
 
 
 # -- sampling ------------------------------------------------------------
+
+
+# 2.5 drew 2 points and 3.9 three rows; NaN raised a bare ValueError and
+# inf an OverflowError
+@pytest.mark.parametrize("spec", ["laplace(0,1)", "product(laplace(0,1)^2)"])
+@pytest.mark.parametrize("n", [2.5, 3.9, 3.0, math.nan, math.inf, 0, -2])
+def test_sample_rejects_a_count_that_is_not_a_positive_integer(spec, n):
+    with pytest.raises(PreconditionError,
+                       match=rf"^n must be an integer >= 1, got {re.escape(str(n))}$"):
+        parse_model(spec).sample(n, RngSeed(1))
+
+
+@pytest.mark.parametrize("n", [3, np.int64(3), np.uint16(3)])
+def test_sample_takes_python_and_numpy_integers(n):
+    assert parse_model("laplace(0,1)").sample(n, RngSeed(1)).shape == (3,)
+    assert parse_model("product(laplace(0,1)^2)").sample(n, RngSeed(1)).shape == (3, 2)
 
 
 def test_sampling_deterministic_given_seed():
@@ -569,6 +588,30 @@ def test_rng_seed_reproducible_and_splittable():
     d3 = RngSeed(9).derive(4, 8).generator().standard_normal(8)
     assert np.array_equal(d1, d2)
     assert not np.array_equal(d1, d3)
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered in cast")
+@pytest.mark.parametrize("seed", [0, 1, 2**64 - 1])
+def test_rng_seed_derive_child_equals_constructed(seed):
+    # derive skips the constructor's range checks; its children must be
+    # the seeds that the validating constructor builds
+    streams = set()
+    for stream in (0, 5, 2**63 - 1, 2**63, 2**64 - 1):
+        parent = RngSeed(seed, stream)
+        for indices in ((0,), (1,), (2, 3), (40, 0, 7), (2**40,)):
+            s = stream
+            for ix in indices:
+                s = _splitmix64(s ^ _splitmix64(ix + 1))
+            child, ref = parent.derive(*indices), RngSeed(seed, s)
+            assert child == ref and hash(child) == hash(ref)
+            assert type(child.seed) is int and type(child.stream) is int
+            assert np.array_equal(child.generator().random(4), ref.generator().random(4))
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                child.stream = 0
+            streams.add(s >= 2**63)
+        with pytest.raises(PreconditionError, match="must be non-negative"):
+            parent.derive(1, -1)
+    assert streams == {False, True}  # children on both sides of 2^63
 
 
 # numpy converts the key list [2^64 - 1, small] through float64, with a

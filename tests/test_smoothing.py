@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+import re
 import tracemalloc
 import warnings
 from fractions import Fraction
@@ -690,6 +691,24 @@ def test_score_moments_preconditions():
         score_moment_check(m, v, 9, 100_000, RngSeed(1))
     with pytest.raises(PreconditionError):
         score_moment_check(m, v, 4, 5000, RngSeed(1))
+
+
+# a NaN direction returned an all-NaN MomentCheck (its norm passed the unit
+# test), k = 3.7 ran k = 3 and n_mc = 20000.5 ran
+@pytest.mark.parametrize("v,k,n_mc,msg", [
+    ([math.nan, 0.0], 4, 10**4, "v must be finite, got [nan, 0.0]"),
+    ([math.nan, math.nan], 4, 10**4, "v must be finite, got [nan, nan]"),
+    ([math.inf, 0.0], 4, 10**4, "v must be finite, got [inf, 0.0]"),
+    ([1.0, 0.0], 3.7, 10**4, "k must be an integer in 3..8, got 3.7"),
+    ([1.0, 0.0], math.nan, 10**4, "k must be an integer in 3..8, got nan"),
+    ([1.0, 0.0], 4, 20000.5, "n_mc must be an integer >= 10000, got 20000.5"),
+    ([1.0, 0.0], 4, math.inf, "n_mc must be an integer >= 10000, got inf"),
+    ([1.0, 0.0], 4, math.nan, "n_mc must be an integer >= 10000, got nan"),
+])
+def test_score_moment_check_rejects_bad_inputs_by_name(v, k, n_mc, msg):
+    m = SmoothedModelHd(parse_model("product(laplace(0,1)^2)"), 0.5)
+    with pytest.raises(PreconditionError, match=f"^{re.escape(msg)}$"):
+        score_moment_check(m, np.array(v), k, n_mc, RngSeed(1))
 
 
 # float.hex of score_moment_check's MomentCheck fields on _LAP4 (n_mc =
