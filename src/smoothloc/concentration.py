@@ -43,7 +43,7 @@ from typing import Callable, Iterator
 import numpy as np
 
 from .errors import (ConfigurationError, PreconditionError, TailUnderflowError,
-                     require_sym_psd)
+                     require_int, require_sym_psd)
 from .rng import RngSeed
 from .smoothing import (SmoothedModelHd, _coord_engines, _perturbed_scores,
                         _small_offset, expected_shifted_score, fisher_hd)
@@ -137,9 +137,8 @@ class VectorGenerator:
 
     def draw(self, n_trials: int, seed: RngSeed) -> np.ndarray:
         """n_trials draws as one (n_trials, dim) array."""
-        if n_trials < 1:
-            raise PreconditionError("n_trials must be >= 1")
-        (out,) = self._chunks(int(n_trials), seed, int(n_trials))
+        n_trials = require_int(n_trials, "n_trials", 1)
+        (out,) = self._chunks(n_trials, seed, n_trials)
         return out.reshape(n_trials, self.dim)
 
 
@@ -327,6 +326,7 @@ def empirical_norm_quantile(gen: VectorGenerator, n_trials: int, delta: float,
     """
     if not 0.0 < delta < 1.0:
         raise PreconditionError("delta must be in (0, 1)")
+    n_trials = require_int(n_trials, "n_trials", 1)
     if n_trials < math.ceil(10.0 / delta):
         raise ConfigurationError(
             f"n_trials={n_trials} too small for delta={delta}; "
@@ -368,8 +368,7 @@ def mgf_check(gen: VectorGenerator, v, lambda_grid, n_mc: int,
         raise PreconditionError("lambda_grid must be a nonempty 1-d sequence")
     if not np.all(np.isfinite(lambdas)):
         raise PreconditionError("lambda_grid must be finite")
-    if n_mc < 100_000:
-        raise PreconditionError("n_mc must be >= 10^5")
+    n_mc = require_int(n_mc, "n_mc", 100_000)
     spec = gen.claimed
     sigma_v = v * spec.sigma if spec.sigma.ndim == 1 else v @ spec.sigma
     quad = float(sigma_v @ v)

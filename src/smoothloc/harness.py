@@ -33,6 +33,7 @@ from .errors import (
     EstimationError,
     PreconditionError,
     TailUnderflowError,
+    require_int,
 )
 from .estimator1d import Config1d, _split, global_mle_1d_rows
 from .estimatorhd import ConfigHd, _m_norm, global_mle_hd_rows
@@ -311,11 +312,11 @@ def _run_blocks(estimate_rows, base, cfg, n: int, seeds, lambda_scale: float,
 
 
 def _require_count(name: str, value) -> int:
-    """A trial count or sample size as an int, rejected by name below 1."""
-    count = int(value)
-    if count < 1:
+    """A trial count, sample size or dimension as an int, rejected by name
+    below 1 or when it is not an integer (2.7 would truncate)."""
+    if isinstance(value, (int, np.integer)) and value < 1:
         raise PreconditionError(f"{name} must be >= 1, got {value}")
-    return count
+    return require_int(value, name, 1)
 
 
 def _tally(rows):
@@ -503,15 +504,17 @@ def run_concentration(families, d_grid, delta_grid, trials: int,
             raise ConfigurationError(
                 f"unknown family '{fam}' (expected one of {known})"
             )
-    cells = [(fam, int(d), float(dl))
+    trials = _require_count("trials", trials)
+    d_grid = [_require_count("d_grid entry", d) for d in d_grid]
+    cells = [(fam, d, float(dl))
              for fam in families for d in d_grid for dl in delta_grid]
     root = RngSeed(int(seed))
 
     def one(i: int) -> tuple:
         fam, d, dl = cells[i]
         gen = _UNIT_FAMILIES[fam](d)
-        q = empirical_norm_quantile(gen, int(trials), dl, root.derive(i))
-        return (fam, d, dl, int(trials), q, norm_bound(gen.claimed, dl),
+        q = empirical_norm_quantile(gen, trials, dl, root.derive(i))
+        return (fam, d, dl, trials, q, norm_bound(gen.claimed, dl),
                 gaussian_tail(gen.claimed.sigma, dl), int(seed))
 
     rows = _map_trials(one, len(cells), threads)

@@ -220,9 +220,19 @@ class Gaussian(Density1d):
         return self.sigma**2
 
     def _smoothed(self, u, r):
+        # log_pdf = -0.5 d d / var - log(2 pi var)/2 and score = -d / var,
+        # in two arrays of u's shape, each step in place in that rounding
+        # order; a 0-d u gives numpy scalars
         var = self.sigma**2 + r * r
-        d = np.asarray(u, dtype=float) - self.mu
-        return -0.5 * d * d / var - 0.5 * math.log(2.0 * math.pi * var), -d / var
+        d = np.array(u, dtype=float)
+        d -= self.mu
+        log_pdf = -0.5 * d
+        log_pdf *= d
+        log_pdf /= var
+        log_pdf -= 0.5 * math.log(2.0 * math.pi * var)
+        score = np.negative(d, out=d)
+        score /= var
+        return log_pdf[()], score[()]
 
     def quadrature_extent(self):
         return (self.mu, self.mu, self.sigma)
@@ -582,6 +592,10 @@ class GaussianSawtooth(Density1d):
         # grid, where N may underflow, so 1/N is capped to stay finite.
         # At slope 0, R = 0 everywhere and the Gaussian part is the answer
         # (adding R's zeros would only turn a score of -0 into +0).
+        # Beside the two outputs a slice holds the lookup's five arrays, then
+        # R, R' and one buffer: 1/N, then 1 + R.  Each step is done in place
+        # with the operands of (score + R'/N) / (1 + R/N) and
+        # log_pdf + log1p(R/N) in their order, so every bit is kept.
         shape = np.shape(u)
         u = np.asarray(u, dtype=float).ravel()
         log_pdf, score = _STANDARD_NORMAL._smoothed(u, r)
@@ -591,11 +605,15 @@ class GaussianSawtooth(Density1d):
         for start in range(0, u.size, _LOOKUP_BLOCK):
             sl = slice(start, start + _LOOKUP_BLOCK)
             ripple, ripple_slope = grid.lookup(u[sl])
-            inv_gauss = np.exp(-np.maximum(log_pdf[sl], -700.0))
+            buf = np.maximum(log_pdf[sl], -700.0)
+            np.negative(buf, out=buf)
+            inv_gauss = np.exp(buf, out=buf)
             ripple *= inv_gauss
             ripple_slope *= inv_gauss
-            score[sl] = (score[sl] + ripple_slope) / (1.0 + ripple)
-            log_pdf[sl] += np.log1p(ripple)
+            np.add(score[sl], ripple_slope, out=ripple_slope)
+            np.divide(ripple_slope, np.add(1.0, ripple, out=buf),
+                      out=score[sl])
+            log_pdf[sl] += np.log1p(ripple, out=ripple)
         return log_pdf.reshape(shape), score.reshape(shape)
 
     def quadrature_extent(self):
@@ -634,7 +652,11 @@ class _RippleGrid:
     ripple_slope: np.ndarray  # (4, cells): the same for R'
 
     def lookup(self, u):
-        """(R(u), R'(u)); points outside the grid read exact zeros."""
+        """(R(u), R'(u)) at the 1-d u; points outside the grid read exact
+        zeros.  Each is a Horner cubic in the cell fraction f, computed in
+        place: a call holds five arrays of u's length, its two outputs
+        included (f, the cell index, R, R' and one buffer that each
+        coefficient is gathered into)."""
         last = self.ripple.shape[1] - 1
         # points before the grid, and NaN (which fmin/fmax send there), read
         # the zero first node; the Gaussian part keeps the NaN
@@ -644,15 +666,16 @@ class _RippleGrid:
         np.fmin(f, last, out=f)
         i = f.astype(np.intp)
         f -= i
-        return _horner(self.ripple, i, f), _horner(self.ripple_slope, i, f)
-
-
-def _horner(coef, i, f):
-    out = coef[3][i]
-    for k in (2, 1, 0):
-        out *= f
-        out += coef[k][i]
-    return out
+        # every index is in range, so mode="clip" only skips the bounds check
+        gathered = np.empty_like(f)
+        values = []
+        for coef in (self.ripple, self.ripple_slope):
+            value = np.take(coef[3], i, mode="clip")
+            for k in (2, 1, 0):
+                value *= f
+                value += np.take(coef[k], i, out=gathered, mode="clip")
+            values.append(value)
+        return tuple(values)
 
 
 def _hermite_cells(value, slope, h):

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -367,6 +368,23 @@ def test_mgf_check_preconditions():
     for grid in ([0.1, np.nan], [np.inf]):
         with pytest.raises(PreconditionError, match="^lambda_grid must be finite$"):
             mgf_check(gen, v, grid, 200_000, RngSeed(1))
+
+
+# a fractional, infinite or NaN count failed inside the draw with a bare
+# TypeError, OverflowError or ValueError
+@pytest.mark.parametrize("call,msg", [
+    (lambda gen, n: mgf_check(gen, np.array([1.0, 0.0]), [0.1], n, RngSeed(1)),
+     "n_mc must be an integer >= 100000, got {}"),
+    (lambda gen, n: empirical_norm_quantile(gen, n, 0.1, RngSeed(1)),
+     "n_trials must be an integer >= 1, got {}"),
+    (lambda gen, n: gen.draw(n, RngSeed(1)),
+     "n_trials must be an integer >= 1, got {}"),
+], ids=["mgf_check", "empirical_norm_quantile", "draw"])
+@pytest.mark.parametrize("n", [100000.5, math.inf, math.nan])
+def test_counts_must_be_integers(call, msg, n):
+    for gen in (exponential_generator(np.ones(2)), gaussian_generator(np.eye(2))):
+        with pytest.raises(PreconditionError, match=f"^{re.escape(msg.format(n))}$"):
+            call(gen, n)
 
 
 def test_score_vector_generator_centered_and_claimed():

@@ -919,6 +919,40 @@ def test_runs_reject_empty_sizes_by_name(run, kw, msg):
         run(delta=0.1, seed=1, **kw)
 
 
+# a fractional count was truncated (trials = 2.7 ran 2 trials, a d-grid
+# entry of 4.5 ran d = 4), and NaN raised a bare ValueError
+_CONC = dict(families=("gaussian",), delta_grid=(0.1,))
+
+
+@pytest.mark.parametrize("run,kw,msg", [
+    (run_coverage, dict(model_spec="laplace(0,1)", n=1000, trials=2.7,
+                        delta=0.1), "trials must be an integer >= 1, got 2.7"),
+    (run_coverage, dict(model_spec="laplace(0,1)", n=1000.5, trials=2,
+                        delta=0.1), "n must be an integer >= 1, got 1000.5"),
+    (run_coverage, dict(model_spec="laplace(0,1)", n=math.nan, trials=2,
+                        delta=0.1), "n must be an integer >= 1, got nan"),
+    (run_coverage_hd, dict(model_spec="product(laplace(0,1)^2)", n=200,
+                           trials=math.inf, delta=0.1, r=0.5),
+     "trials must be an integer >= 1, got inf"),
+    (run_sawtooth_phase, dict(w=0.05, slope=4.0, n_grid=(1000, 1000.5),
+                              trials=2, delta=0.1),
+     "n_grid entry must be an integer >= 1, got 1000.5"),
+    (run_concentration, dict(_CONC, d_grid=(4, 4.5), trials=1000),
+     "d_grid entry must be an integer >= 1, got 4.5"),
+    (run_concentration, dict(_CONC, d_grid=(4,), trials=1000.5),
+     "trials must be an integer >= 1, got 1000.5"),
+    (run_concentration, dict(_CONC, d_grid=(4,), trials=math.nan),
+     "trials must be an integer >= 1, got nan"),
+    (run_concentration, dict(_CONC, d_grid=(0,), trials=1000),
+     "d_grid entry must be >= 1, got 0"),
+], ids=["coverage-trials", "coverage-n", "coverage-n-nan", "hd-trials-inf",
+        "sawtooth-n", "concentration-d", "concentration-trials",
+        "concentration-trials-nan", "concentration-d-0"])
+def test_runs_reject_non_integer_counts_by_name(run, kw, msg):
+    with pytest.raises(PreconditionError, match=f"^{re.escape(msg)}$"):
+        run(seed=1, **kw)
+
+
 @pytest.mark.parametrize("args", [
     ("estimate", "--model", "laplace(0,1)", "--seed", "-1"),
     ("estimate", "--model", "laplace(0,1)", "--seed", str(2**64)),

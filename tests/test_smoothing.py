@@ -224,6 +224,107 @@ def test_ripple_lookup_matches_hermite_basis(base, r):
         assert np.array_equal(got, np.zeros(outside.size))
 
 
+# The allocating sawtooth kernel that the in-place one replaced, kept as the
+# reference for its bits: a fresh array per gather and per operation.
+def _reference_gaussian_smoothed(base, u, r):
+    var = base.sigma**2 + r * r
+    d = np.asarray(u, dtype=float) - base.mu
+    return -0.5 * d * d / var - 0.5 * math.log(2.0 * math.pi * var), -d / var
+
+
+def _reference_horner(coef, i, f):
+    out = coef[3][i]
+    for k in (2, 1, 0):
+        out *= f
+        out += coef[k][i]
+    return out
+
+
+def _reference_lookup(grid, u):
+    f = u - grid.lo
+    f /= grid.h
+    np.fmax(f, 0.0, out=f)
+    np.fmin(f, grid.ripple.shape[1] - 1, out=f)
+    i = f.astype(np.intp)
+    f -= i
+    return (_reference_horner(grid.ripple, i, f),
+            _reference_horner(grid.ripple_slope, i, f))
+
+
+def _reference_sawtooth_smoothed(base, u, r):
+    from smoothloc.models import _LOOKUP_BLOCK, _ripple_grid
+
+    shape = np.shape(u)
+    u = np.asarray(u, dtype=float).ravel()
+    log_pdf, score = _reference_gaussian_smoothed(Gaussian(0.0, 1.0), u, r)
+    if base.slope == 0.0:
+        return log_pdf.reshape(shape), score.reshape(shape)
+    grid = _ripple_grid(base.w, base.slope, float(r))
+    for start in range(0, u.size, _LOOKUP_BLOCK):
+        sl = slice(start, start + _LOOKUP_BLOCK)
+        ripple, ripple_slope = _reference_lookup(grid, u[sl])
+        inv_gauss = np.exp(-np.maximum(log_pdf[sl], -700.0))
+        ripple *= inv_gauss
+        ripple_slope *= inv_gauss
+        score[sl] = (score[sl] + ripple_slope) / (1.0 + ripple)
+        log_pdf[sl] += np.log1p(ripple)
+    return log_pdf.reshape(shape), score.reshape(shape)
+
+
+def _same_bits(got, want):
+    # values, signs of zero, shape and scalar-or-array type
+    assert type(got) is type(want)
+    assert np.shape(got) == np.shape(want)
+    assert np.array_equal(got, want)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+def _kernel_points(base, r):
+    # before and after the grid, its nodes and both sides of each cell
+    # edge, the kinks, +-0, |u| = 1e6 and 1e300 (where N underflows and the
+    # -700 cap acts), and noisy draws; 2^15 + 17 points in all
+    from smoothloc.models import _ripple_grid
+
+    # slope 0 has no grid; the nodes of slope 4's serve as its points
+    grid = _ripple_grid(base.w, base.slope or 4.0, r)
+    nodes = grid.lo + grid.h * np.arange(0, grid.ripple.shape[1], 97)
+    kinks = np.asarray(base.breakpoints())
+    fixed = np.concatenate([
+        [grid.lo - 1.0, grid.lo - grid.h, grid.lo, nodes[-1] + grid.h, 8.0],
+        nodes, np.nextafter(nodes, -np.inf), np.nextafter(nodes, np.inf),
+        kinks, np.nextafter(kinks, -np.inf), np.nextafter(kinks, np.inf),
+        [0.0, -0.0, 1e6, -1e6, 1e300, -1e300],
+    ])
+    noisy = base.sample((1 << 15) + 17 - fixed.size, RngSeed(31))
+    noisy += r * RngSeed(32).generator().standard_normal(noisy.size)
+    return np.concatenate([fixed, noisy])
+
+
+@pytest.mark.parametrize("base,r", [(SAW, 0.137), (SAW, 0.01),
+                                    (GaussianSawtooth(0.01, 20.0), 0.02),
+                                    (GaussianSawtooth(0.05, 0.0), 0.137)],
+                         ids=["saw-0.137", "saw-0.01", "w0.01", "slope0"])
+def test_sawtooth_kernel_matches_allocating_reference(base, r):
+    from smoothloc.models import _ripple_grid
+
+    u = _kernel_points(base, r)
+    assert u.size == (1 << 15) + 17
+    with np.errstate(over="ignore"):
+        if base.slope:
+            grid = _ripple_grid(base.w, base.slope, r)
+            for got, want in zip(grid.lookup(u), _reference_lookup(grid, u)):
+                _same_bits(got, want)
+        for shaped in (u, u[:15000].reshape(3, 5000), u[7], u[-1],
+                       np.array(u[3]), -0.0, 1e300, 1e6):
+            for got, want in zip(base._smoothed(shaped, r),
+                                 _reference_sawtooth_smoothed(base, shaped, r)):
+                _same_bits(got, want)
+            gauss = Gaussian(0.7, 2.0)
+            for got, want in zip(gauss._smoothed(shaped, r),
+                                 _reference_gaussian_smoothed(gauss, shaped, r)):
+                _same_bits(got, want)
+
+
 def test_fisher_laplace_small_radius_against_normal_laplace():
     # Laplace(0,1) * N(0, r^2) written out (Reed & Jorgensen 2004); a
     # uniform Simpson grid once missed the r-wide bend at the kink by 2e-4
@@ -361,6 +462,24 @@ def test_laplace_smoothed_holds_five_slices(k, slices):
     finally:
         tracemalloc.stop()
     assert peak <= slices * u.nbytes
+
+
+def test_sawtooth_smoothed_holds_seven_slices():
+    # log_pdf and score, and the lookup's fraction, cell index, R, R' and
+    # gather buffer; after the lookup, one buffer for 1/N and then 1 + R.
+    # The allocating kernel also peaked at seven, so this guards the count
+    # and does not claim a fall
+    r = 0.137
+    u = SAW.sample(1 << 15, RngSeed(5))
+    u += r * RngSeed(6).generator().standard_normal(u.size)
+    SAW._smoothed(u, r)  # build the ripple grid
+    tracemalloc.start()
+    try:
+        SAW._smoothed(u, r)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 7.5 * u.nbytes
 
 
 _LAP4 = SmoothedModelHd(parse_model("product(laplace(0,1)^4)"), 0.5)
