@@ -42,10 +42,10 @@ from typing import Callable, Iterator
 
 import numpy as np
 
-from .errors import (ConfigurationError, PreconditionError, TailUnderflowError,
-                     require_int, require_sym_psd)
+from .errors import (ConfigurationError, PreconditionError, require_int,
+                     require_sym_psd)
 from .rng import RngSeed
-from .smoothing import (SmoothedModelHd, _coord_engines, _perturbed_scores,
+from .smoothing import (SmoothedModelHd, _coord_engines, _scored_sample,
                         _small_offset, expected_shifted_score, fisher_hd)
 
 
@@ -124,16 +124,19 @@ class SubgammaSpec:
 
 @dataclass(frozen=True)
 class VectorGenerator:
-    """Mean-zero vector sampler with its claimed subgamma parameters."""
+    """Mean-zero vector sampler with its claimed subgamma parameters; its
+    dimension is the claim's."""
 
-    family: str
-    dim: int
     claimed: SubgammaSpec
     # (n, seed, rows) -> the n draws of `seed` as consecutive float arrays
     # of at most `rows` rows each, freshly allocated
     _chunks: Callable[[int, RngSeed, int], Iterator[np.ndarray]]
     # ||x|| of every draw, for a family that fixes it; else None
     fixed_norm: float | None = None
+
+    @property
+    def dim(self) -> int:
+        return self.claimed.dim
 
     def draw(self, n_trials: int, seed: RngSeed) -> np.ndarray:
         """n_trials draws as one (n_trials, dim) array."""
@@ -177,7 +180,7 @@ def gaussian_generator(sigma) -> VectorGenerator:
             return z
         return z @ root.T
 
-    return VectorGenerator("gaussian", spec.dim, spec, _row_chunks(rows_of))
+    return VectorGenerator(spec, _row_chunks(rows_of))
 
 
 def exponential_generator(scales) -> VectorGenerator:
@@ -198,7 +201,7 @@ def exponential_generator(scales) -> VectorGenerator:
         x *= s
         return x
 
-    return VectorGenerator("exponential", s.size, spec, _row_chunks(rows_of))
+    return VectorGenerator(spec, _row_chunks(rows_of))
 
 
 def rademacher_generator(bounds) -> VectorGenerator:
@@ -216,8 +219,7 @@ def rademacher_generator(bounds) -> VectorGenerator:
         return b * (gen.integers(0, 2, (k, b.size)) * 2 - 1)
 
     norm = float(_row_norms(b[None, :].copy(), np.empty(1))[0])
-    return VectorGenerator("rademacher", b.size, spec, _row_chunks(rows_of),
-                           norm)
+    return VectorGenerator(spec, _row_chunks(rows_of), norm)
 
 
 def score_vector_generator(m: SmoothedModelHd, eps) -> VectorGenerator:
@@ -230,10 +232,10 @@ def score_vector_generator(m: SmoothedModelHd, eps) -> VectorGenerator:
     Requires eps^T R^{-1} eps <= 1/4, the regime where the inflation
     factor form is valid.  Its draws come from two derived streams, the
     sample and the noise: the sample is drawn in one call and scored in
-    place (smoothing._perturbed_scores), so it yields one chunk of n rows.
+    place (smoothing._scored_sample, as score_moment_check draws), so it
+    yields one chunk of n rows.
     """
     eps, quad_form = _small_offset(m, eps)
-    engines = _coord_engines(m)
     fisher_diag = np.diag(fisher_hd(m).matrix)
     m_prime = m.r * m.r * fisher_diag
     inv_norm = 1.0 / float(fisher_diag.min())
@@ -241,19 +243,16 @@ def score_vector_generator(m: SmoothedModelHd, eps) -> VectorGenerator:
                        * math.sqrt(max(1.0, math.log(inv_norm / (m.r * m.r)))))
     spec = SubgammaSpec(inflation * m_prime, 15.0 * np.sqrt(m_prime))
     centers = np.array([expected_shifted_score(e, float(ej))
-                        for e, ej in zip(engines, eps)])
+                        for e, ej in zip(_coord_engines(m), eps)])
 
     def chunks(n, seed, rows):
-        x = m.base.sample(n, seed.derive(1))
         # x + r * noise - (-eps) rounds as x + r * noise + eps
-        (first,) = _perturbed_scores(engines, x[None], -eps[None], [seed.derive(2)])
-        if first is not None:
-            raise TailUnderflowError(f"coordinate {first[0]} value {first[1]}", m.r)
+        x = _scored_sample(m, n, -eps, seed)
         x -= centers
         x *= m.r
         yield x
 
-    return VectorGenerator("score-vector", m.dim, spec, chunks)
+    return VectorGenerator(spec, chunks)
 
 
 def tail_bound(spec: SubgammaSpec, t: float) -> float:
@@ -287,11 +286,13 @@ def norm_bound(spec: SubgammaSpec, delta: float) -> float:
 def gaussian_tail(sigma, delta: float) -> float:
     """sqrt(Tr Sigma) + sqrt(2 ||Sigma|| log(1/delta)), the Gaussian baseline.
 
-    Sigma is a matrix or a 1-d diagonal.
+    Sigma is a symmetric PSD matrix or a 1-d diagonal, checked as
+    SubgammaSpec checks it.
     """
     if not 0.0 < delta <= 1.0:
         raise PreconditionError("delta must be in (0, 1]")
     sigma = np.asarray(sigma, dtype=float)
+    require_sym_psd(sigma, "Sigma")
     return (math.sqrt(_trace(sigma))
             + math.sqrt(2.0 * _top_eigenvalue(sigma) * math.log(1.0 / delta)))
 

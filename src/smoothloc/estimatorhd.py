@@ -19,9 +19,11 @@ bound) is computed once per block.  The single-trial functions are the
 B = 1 case, run on a C-ordered copy of their input, so a caller's
 samples are never written and their memory layout never changes a bit.
 
-Error reports use the M-norm sqrt(x^T M x) and the deviation bound
-(1+eta)*sqrt(Tr T/n) + 5*sqrt(||T|| log(4/delta)/n) with
-T = M^{1/2} I_R^{-1} M^{1/2}.
+Error reports are Euclidean, with the deviation bound
+(1+eta)*sqrt(Tr T/n) + 5*sqrt(||T|| log(4/delta)/n), T = I_R^{-1}.
+For another PSD norm matrix M, theoretical_bound_hd(report.fisher, M,
+n, delta, eta) is that bound with T = M^{1/2} I_R^{-1} M^{1/2}, and
+m_norm(x, M) = sqrt(x^T M x) the matching error norm.
 """
 
 from __future__ import annotations
@@ -72,8 +74,7 @@ class ConfigHd:
 
     delta is the failure probability of the deviation bound, r the
     smoothing radius, and eta the slack of the bound; eta/10 of the
-    samples go to the robust initializer.  M is the norm matrix of the
-    error report (identity if omitted).  The class constant
+    samples go to the robust initializer.  The class constant
     mom_buckets_multiplier sets the median-of-means bucket count
     ceil(3.5 log(2/delta)).  The model-dependent requirement
     r^2 <= ||Sigma|| is checked by global_mle_hd_rows, which sees the
@@ -85,7 +86,6 @@ class ConfigHd:
     delta: float
     r: float
     eta: float = 0.25
-    M: np.ndarray | None = None
 
     def __post_init__(self):
         if not 0.0 < self.delta <= 0.5:
@@ -94,22 +94,15 @@ class ConfigHd:
             raise ConfigurationError("r must be finite and positive")
         if not 0.0 < self.eta < 1.0:
             raise ConfigurationError("eta must be in (0, 1)")
-        if self.M is not None:
-            m = np.asarray(self.M, dtype=float)
-            _require_norm_matrix(m)
-            object.__setattr__(self, "M", m)
 
     def effective_init_fraction(self) -> float:
         return self.eta / 10.0
 
     def norm_matrix(self, dim: int) -> np.ndarray:
-        if self.M is None:
-            return np.eye(dim)
-        if self.M.shape != (dim, dim):
-            raise ConfigurationError(
-                f"M has shape {self.M.shape}, model dimension is {dim}"
-            )
-        return self.M
+        """The norm of the error report, the identity: reports are
+        Euclidean.  theoretical_bound_hd(report.fisher, M, n, delta, eta)
+        is the report's bound in the M-norm, from the same eigenvalues."""
+        return np.eye(dim)
 
 
 @dataclass(frozen=True)
@@ -239,6 +232,9 @@ def geometric_median_of_means(
     """
     if not 0.0 < delta < 1.0:
         raise PreconditionError("delta must be in (0, 1)")
+    if not 0.0 < buckets_multiplier < math.inf:  # written so that NaN fails too
+        raise PreconditionError(f"buckets_multiplier must be finite and > 0, "
+                                f"got {buckets_multiplier}")
     # C order: the bucket means' summation order follows the layout
     x = np.ascontiguousarray(samples, dtype=float)
     if x.ndim == 1:
@@ -317,7 +313,9 @@ def theoretical_bound_hd(fisher: FisherMatrix, M, n: int, delta: float,
                          eta: float) -> float:
     """(1+eta)*sqrt(Tr T/n) + 5*sqrt(||T|| log(4/delta)/n).
 
-    T = M^{1/2} I_R^{-1} M^{1/2}; ||T|| is the spectral norm.
+    T = M^{1/2} I_R^{-1} M^{1/2}; ||T|| is the spectral norm.  With a
+    report's fisher, n and settings, it is that report's bound in the
+    M-norm (the identity gives its m_norm_error_bound, bit for bit).
     """
     require_int(n, "n", 1)
     for name, p in (("delta", delta), ("eta", eta)):
@@ -325,6 +323,9 @@ def theoretical_bound_hd(fisher: FisherMatrix, M, n: int, delta: float,
             raise PreconditionError(f"{name} must be in (0, 1), got {p}")
     M = np.asarray(M, dtype=float)
     _require_norm_matrix(M)
+    if M.shape != fisher.matrix.shape:
+        raise PreconditionError(
+            f"M has shape {M.shape}, the Fisher matrix {fisher.matrix.shape}")
     return _bound(_t_eigenvalues(fisher.inverse(), M), n, delta, eta)
 
 

@@ -283,9 +283,9 @@ def _run_blocks(estimate_rows, base, cfg, n: int, seeds, lambda_scale: float,
     is every row's note.  A negative lambda_scale, or one past float64
     resolution of the model's samples, is rejected up front.
     """
-    require_resolvable_shift(base, lambda_scale, "lambda-scale")
-    if not lambda_scale >= 0:
+    if not lambda_scale >= 0:  # written so that NaN fails too
         raise PreconditionError(f"lambda-scale must be >= 0, got {lambda_scale}")
+    require_resolvable_shift(base, lambda_scale, "lambda-scale")
     shape = (n,) if dim is None else (n, dim)
     size = max(1, min(_BLOCK_TRIALS, _BLOCK_COORDS // max(math.prod(shape), 1)))
 
@@ -309,14 +309,6 @@ def _run_blocks(estimate_rows, base, cfg, n: int, seeds, lambda_scale: float,
 
     blocks = _map_trials(block, -(-len(seeds) // size), threads)
     return [r for rows in blocks for r in rows]
-
-
-def _require_count(name: str, value) -> int:
-    """A trial count, sample size or dimension as an int, rejected by name
-    below 1 or when it is not an integer (2.7 would truncate)."""
-    if isinstance(value, (int, np.integer)) and value < 1:
-        raise PreconditionError(f"{name} must be >= 1, got {value}")
-    return require_int(value, name, 1)
 
 
 def _tally(rows):
@@ -361,12 +353,12 @@ def run_coverage(model_spec: str, n: int, trials: int, delta: float,
     become error rows; the trailing summary row reports the failure
     rate with errors counted against coverage.
     """
-    n, trials = _require_count("n", n), _require_count("trials", trials)
+    n, trials = require_int(n, "n", 1), require_int(trials, "trials", 1)
     base = parse_model(model_spec)
     if not isinstance(base, Density1d):
         raise PreconditionError("coverage needs a one-dimensional model")
     cfg = Config1d(delta=float(delta), r_override=r_override)
-    root = RngSeed(int(seed))
+    root = RngSeed(seed)
     base_mean = base.mean()
 
     def estimate_rows(base, x, cfg, seeds) -> list:
@@ -406,17 +398,17 @@ def run_coverage(model_spec: str, n: int, trials: int, delta: float,
 def run_coverage_hd(model_spec: str, n: int, trials: int, delta: float,
                     r: float, seed: int, eta: float = 0.25,
                     threads: int = 1, lambda_scale: float = 2.0) -> CsvTable:
-    """Monte Carlo coverage of the product-model estimator in M-norm.
+    """Monte Carlo coverage of the product-model estimator (Euclidean norm).
 
     A failed trial's error is its row's note.
     """
-    n, trials = _require_count("n", n), _require_count("trials", trials)
+    n, trials = require_int(n, "n", 1), require_int(trials, "trials", 1)
     base = parse_model(model_spec)
     if not isinstance(base, ProductDensity):
         raise PreconditionError("coverage-hd needs a product model")
     cfg = ConfigHd(delta=float(delta), r=float(r), eta=float(eta))
     M = cfg.norm_matrix(base.dim)
-    root = RngSeed(int(seed))
+    root = RngSeed(seed)
 
     def row(t: int, lam, rep) -> tuple:
         if isinstance(rep, str):
@@ -450,11 +442,11 @@ def run_sawtooth_phase(w: float, slope: float, n_grid, trials: int,
     the phase-transition direction, the sqrt(n_local) column is the
     schedule-free control normalization.
     """
-    trials = _require_count("trials", trials)
-    n_grid = [_require_count("n_grid entry", v) for v in n_grid]
+    trials = require_int(trials, "trials", 1)
+    n_grid = [require_int(v, "n_grid entry", 1) for v in n_grid]
     base = GaussianSawtooth(float(w), float(slope))
     cfg = Config1d(delta=float(delta), min_n_factor=float(min_n_factor))
-    root = RngSeed(int(seed))
+    root = RngSeed(seed)
     rows = []
 
     def row(t: int, lam, rep):
@@ -504,18 +496,18 @@ def run_concentration(families, d_grid, delta_grid, trials: int,
             raise ConfigurationError(
                 f"unknown family '{fam}' (expected one of {known})"
             )
-    trials = _require_count("trials", trials)
-    d_grid = [_require_count("d_grid entry", d) for d in d_grid]
+    trials = require_int(trials, "trials", 1)
+    d_grid = [require_int(d, "d_grid entry", 1) for d in d_grid]
     cells = [(fam, d, float(dl))
              for fam in families for d in d_grid for dl in delta_grid]
-    root = RngSeed(int(seed))
+    root = RngSeed(seed)
 
     def one(i: int) -> tuple:
         fam, d, dl = cells[i]
         gen = _UNIT_FAMILIES[fam](d)
         q = empirical_norm_quantile(gen, trials, dl, root.derive(i))
         return (fam, d, dl, trials, q, norm_bound(gen.claimed, dl),
-                gaussian_tail(gen.claimed.sigma, dl), int(seed))
+                gaussian_tail(gen.claimed.sigma, dl), root.seed)
 
     rows = _map_trials(one, len(cells), threads)
     return _table(("family", "d", "delta", "trials", "empirical_q",

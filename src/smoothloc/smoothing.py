@@ -15,8 +15,9 @@ scorer, _score_in_place, writes scores over points _LOOKUP_BLOCK at a
 time with the bits of one whole call.  _perturbed_scores alone perturbs:
 per slice of a (B, n, d) stack it draws the rows' noise into one buffer,
 perturbs and scores the points there and writes them back.  Both local
-steps and the two Monte Carlo score diagnostics run it on their
-samples, so each holds its sample plus slices.
+steps run it on their samples, and the two Monte Carlo score
+diagnostics on one fresh draw (_scored_sample), every coordinate
+scored; so each holds its sample plus slices.
 Integrals over x (Fisher information, expected shifted scores) use
 composite Gauss-Legendre panels whose edges sit on every kink of the
 base density and at geometric multiples of r around it, where f_r
@@ -107,23 +108,23 @@ def smoothed_score_1d(m: SmoothedModel1d, x):
     x = np.asarray(x, dtype=float)
     require_finite_samples(x)
     score = x.reshape(-1, 1).copy()
-    (first,) = _score_in_place((m,), score, (0,), [None], 0, len(score))
+    (first,) = _score_in_place((m,), score, [None], 0, len(score))
     if first is not None:
         raise TailUnderflowError(first[1], m.r)
     return float(score[0, 0]) if x.ndim == 0 else score.reshape(x.shape)
 
 
-def _score_in_place(engines, pts: np.ndarray, coords, firsts: list, b0: int,
+def _score_in_place(engines, pts: np.ndarray, firsts: list, b0: int,
                     n: int) -> list:
     """Write over (m, d) points, whole n-point rows of a stack from row b0
-    on or a piece of row b0, their smoothed scores in `coords`,
-    engines[j] scoring coordinate j, _LOOKUP_BLOCK points at a time.
-    firsts[b] keeps, as (j, x), row b's first underflow (f_r < 1e-300)
-    in the least j; calls must come in point order.  Returns firsts."""
+    on or a piece of row b0, their smoothed scores, engines[j] scoring
+    coordinate j, _LOOKUP_BLOCK points at a time.  firsts[b] keeps, as
+    (j, x), row b's first underflow (f_r < 1e-300) in the least j; calls
+    must come in point order.  Returns firsts."""
     for i0 in range(0, len(pts), _LOOKUP_BLOCK):
-        for j in coords:
+        for j, engine in enumerate(engines):
             col = pts[i0 : i0 + _LOOKUP_BLOCK, j]
-            log_pdf, score = _log_pdf_and_score(engines[j], col)
+            log_pdf, score = _log_pdf_and_score(engine, col)
             bad = i0 + np.flatnonzero(~(log_pdf > _LOG_UNDERFLOW))
             rows_bad, first_bad = np.unique(bad // n, return_index=True)
             for row, p in zip(rows_bad, bad[first_bad]):
@@ -134,18 +135,15 @@ def _score_in_place(engines, pts: np.ndarray, coords, firsts: list, b0: int,
     return firsts
 
 
-def _perturbed_scores(engines, x: np.ndarray, shift: np.ndarray, seeds,
-                      coords=None) -> list:
+def _perturbed_scores(engines, x: np.ndarray, shift: np.ndarray, seeds) -> list:
     """Score in place each row of (B, n, d) samples at x[b] + r * noise -
-    shift[b], its noise from seeds[b], in `coords` (default all); the
-    other coordinates keep the perturbed points.  Returns per row (j, x),
-    the first point x with f_r < 1e-300 in the least such j, or None.
+    shift[b], its noise from seeds[b].  Returns per row (j, x), the
+    first point x with f_r < 1e-300 in the least such j, or None.
 
     Slice by slice, the rows' noise is drawn into one slice-long buffer,
     perturbed and scored there and written back over x.
     """
     rows, n, d = x.shape
-    coords = range(d) if coords is None else coords
     # a slice is up to _LOOKUP_BLOCK points: whole rows, or a piece of one
     per = max(_LOOKUP_BLOCK // n, 1)
     gens = [seed.generator() for seed in seeds]
@@ -162,7 +160,7 @@ def _perturbed_scores(engines, x: np.ndarray, shift: np.ndarray, seeds,
             pts *= engines[0].r
             pts += sl
             pts -= shift[b0 : b0 + per, None, :]
-            _score_in_place(engines, pts.reshape(-1, d), coords, firsts, b0, n)
+            _score_in_place(engines, pts.reshape(-1, d), firsts, b0, n)
             sl[...] = pts
     return firsts
 
@@ -247,30 +245,33 @@ class FisherMatrix:
         return np.linalg.inv(self.matrix)
 
 
-def smoothed_score_hd(m: SmoothedModelHd, x, coords=None):
-    """s_R(x) per coordinate; `coords`, integers in [0, dim), restricts
-    evaluation (others 0)."""
+def smoothed_score_hd(m: SmoothedModelHd, x):
+    """s_R(x) per coordinate, at a point or at each row of x."""
     x = np.asarray(x, dtype=float)
     squeeze = x.ndim == 1
     pts = np.atleast_2d(x)
     if pts.shape[1] != m.dim:
         raise PreconditionError(f"expected points of dimension {m.dim}")
     require_finite_samples(pts)
-    cols = range(m.dim) if coords is None else list(coords)
-    # a negative index would alias a listed coordinate
-    bad = [j for j in cols
-           if not (isinstance(j, (int, np.integer)) and 0 <= j < m.dim)]
-    if bad:
-        raise PreconditionError(
-            f"coords must be integers in [0, {m.dim}), got {bad}")
-    # a coordinate scored twice in place would score its own scores
-    cols = list(dict.fromkeys(cols))
-    score = np.zeros(pts.shape)
-    score[:, cols] = pts[:, cols]
-    (first,) = _score_in_place(_coord_engines(m), score, cols, [None], 0, len(score))
+    score = pts.copy()
+    (first,) = _score_in_place(_coord_engines(m), score, [None], 0, len(score))
     if first is not None:
         raise TailUnderflowError(f"coordinate {first[0]} value {first[1]}", m.r)
     return score[0] if squeeze else score
+
+
+def _scored_sample(m: SmoothedModelHd, n: int, shift: np.ndarray,
+                   seed: RngSeed) -> np.ndarray:
+    """s_R at y + r * noise - shift for n draws y ~ f, y from
+    seed.derive(1) and the noise from seed.derive(2), scored in place
+    (_perturbed_scores): the draw of both Monte Carlo score diagnostics.
+    An underflow raises as smoothed_score_hd raises it on those points."""
+    y = m.base.sample(n, seed.derive(1))
+    (first,) = _perturbed_scores(_coord_engines(m), y[None], shift[None],
+                                 [seed.derive(2)])
+    if first is not None:
+        raise TailUnderflowError(f"coordinate {first[0]} value {first[1]}", m.r)
+    return y
 
 
 def fisher_hd(m: SmoothedModelHd) -> FisherMatrix:
@@ -365,18 +366,12 @@ def score_moment_check(m: SmoothedModelHd, v, k: int, n_mc: int,
         raise PreconditionError("v must be a unit vector within 1e-12")
     k = require_int(k, "k", 3, 8)
     n_mc = require_int(n_mc, "n_mc", 10_000)
-    y = m.base.sample(n_mc, seed.derive(1))
-    active = tuple(int(j) for j in np.nonzero(v)[0])
-    engines = _coord_engines(m)
-    (first,) = _perturbed_scores(engines, y[None], np.zeros((1, m.dim)),
-                                 [seed.derive(2)], active)
-    if first is not None:
-        raise TailUnderflowError(f"coordinate {first[0]} value {first[1]}", m.r)
-    y[:, v == 0] = 0.0  # perturbed points, outside v's support
+    y = _scored_sample(m, n_mc, np.zeros(m.dim), seed)
     proj = m.r * (y @ v)  # R^{1/2} = r I
     powered = np.abs(proj) ** k
     signed = proj**k
-    quad_form = m.r**2 * sum(v[j] ** 2 * fisher_1d(engines[j]) for j in active)
+    quad_form = m.r**2 * sum(vj ** 2 * fisher_1d(e)
+                             for vj, e in zip(v, _coord_engines(m)) if vj)
     ceiling = 1.6 ** (k - 2) * k ** (k / 2.0) * quad_form
     root_n = math.sqrt(n_mc)
     return MomentCheck(float(powered.mean()), float(ceiling),

@@ -81,6 +81,20 @@ def test_gaussian_tail_values():
     assert spherical == pytest.approx(want, rel=1e-12)
 
 
+# -1 raised "math domain error", NaN returned nan and the asymmetric
+# matrix a bound of 3.56
+@pytest.mark.parametrize("sigma,msg", [
+    ([-1.0], "Sigma must be positive semidefinite"),
+    ([math.nan], "Sigma must be finite"),
+    ([[1.0, 5.0], [0.0, 1.0]], "Sigma must be symmetric within 1e-10"),
+], ids=["negative", "nan", "asymmetric"])
+def test_gaussian_tail_checks_sigma_as_subgamma_spec_does(sigma, msg):
+    with pytest.raises(PreconditionError, match=f"^{re.escape(msg)}$"):
+        gaussian_tail(sigma, 0.1)
+    with pytest.raises(PreconditionError, match=f"^{re.escape(msg)}$"):
+        SubgammaSpec(np.asarray(sigma), 0.0)
+
+
 def test_quantile_bound_consistent_with_tail_bound():
     # inverting the tail bound at level delta can never beat norm_bound
     gen = RngSeed(300).generator()

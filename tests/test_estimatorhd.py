@@ -83,6 +83,15 @@ def test_gmom_validation():
         geometric_median_of_means(np.zeros((100, 2)), 1.5)
 
 
+# 0 raised ZeroDivisionError, NaN a bare ValueError and -1 numpy's
+# reshape error
+@pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf])
+def test_gmom_rejects_bad_buckets_multiplier_by_name(bad):
+    with pytest.raises(PreconditionError,
+                       match=f"^buckets_multiplier must be finite and > 0, got {bad}$"):
+        geometric_median_of_means(np.zeros((100, 2)), 0.1, None, bad)
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_gmom_rejects_non_finite_samples(bad):
     # a NaN would otherwise run Weiszfeld to its cap and return NaNs
@@ -509,6 +518,25 @@ def test_bound_validation():
         theoretical_bound_hd(fisher, np.eye(2), 0, 0.1, 0.25)
     with pytest.raises(PreconditionError):
         theoretical_bound_hd(fisher, np.array([[1.0, 2.0], [0.0, 1.0]]), 10, 0.1, 0.25)
+    with pytest.raises(PreconditionError,
+                       match=r"^M has shape \(3, 3\), the Fisher matrix \(2, 2\)$"):
+        theoretical_bound_hd(fisher, np.eye(3), 10, 0.1, 0.25)
+
+
+# Reports are Euclidean; these bounds are the bits of reports in the
+# M-norm that the estimator config once made itself (4000 samples of
+# LAP4, delta 0.1, r 0.5, eta 0.25), one diagonal M and one full SPD M.
+@pytest.mark.parametrize("M,want", [
+    (np.diag([1.0, 2.0, 0.5, 3.0]), "0x1.a24606217a46cp-2"),
+    (np.array([[2.0, 0.5, 0.0, 0.25], [0.5, 1.5, 0.3, 0.0],
+               [0.0, 0.3, 1.0, 0.2], [0.25, 0.0, 0.2, 0.8]]),
+     "0x1.744ea97386b59p-2"),
+], ids=["diagonal", "full"])
+def test_bound_of_a_report_in_another_norm_is_frozen(M, want):
+    x = LAP4.sample(4000, RngSeed(21).derive(2))
+    rep = global_mle_hd(LAP4, x, ConfigHd(delta=0.1, r=0.5, eta=0.25),
+                        RngSeed(21).derive(3))
+    assert theoretical_bound_hd(rep.fisher, M, 4000, 0.1, 0.25).hex() == want
 
 
 @pytest.mark.parametrize("name,args", [
@@ -668,17 +696,8 @@ def test_local_hd_rejects_non_finite_samples(bad):
         local_mle_hd(LAP4, 0.5, x, np.zeros(4), RngSeed(34))
 
 
-def test_global_hd_norm_matrix_mismatch():
-    cfg = ConfigHd(delta=0.1, r=0.5, eta=0.25, M=np.eye(2))
-    x = LAP4.sample(300, RngSeed(1))
-    with pytest.raises(ConfigurationError, match="shape"):
-        global_mle_hd(LAP4, x, cfg, RngSeed(2))
-
-
 def test_config_hd_validation():
     for bad in (dict(delta=0.0, r=0.5), dict(delta=0.1, r=0.0),
                 dict(delta=0.1, r=0.5, eta=1.0)):
         with pytest.raises(ConfigurationError):
             ConfigHd(**bad)
-    with pytest.raises(PreconditionError):
-        ConfigHd(delta=0.1, r=0.5, M=np.array([[1.0, 1.0], [0.0, 1.0]]))

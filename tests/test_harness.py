@@ -898,29 +898,10 @@ def test_cli_fisher_refuses_laplace_radius_past_ceiling():
     assert "r/b = 1e+97" in res.stderr
 
 
-# trials = 0 divided by zero in the coverage tally and gave a sawtooth
-# cell with no estimate; n = -5 reached numpy's "negative dimensions"
-@pytest.mark.parametrize("run,kw,msg", [
-    (run_coverage, dict(model_spec="laplace(0,1)", n=1000, trials=0),
-     "trials must be >= 1, got 0"),
-    (run_coverage, dict(model_spec="laplace(0,1)", n=-5, trials=2),
-     "n must be >= 1, got -5"),
-    (run_coverage_hd, dict(model_spec="product(laplace(0,1)^2)", n=200,
-                           trials=0, r=0.5), "trials must be >= 1, got 0"),
-    (run_coverage_hd, dict(model_spec="product(laplace(0,1)^2)", n=0,
-                           trials=2, r=0.5), "n must be >= 1, got 0"),
-    (run_sawtooth_phase, dict(w=0.05, slope=4.0, n_grid=(1000,), trials=0),
-     "trials must be >= 1, got 0"),
-    (run_sawtooth_phase, dict(w=0.05, slope=4.0, n_grid=(1000, 0), trials=2),
-     "n_grid entry must be >= 1, got 0"),
-])
-def test_runs_reject_empty_sizes_by_name(run, kw, msg):
-    with pytest.raises(PreconditionError, match=f"^{re.escape(msg)}$"):
-        run(delta=0.1, seed=1, **kw)
-
-
 # a fractional count was truncated (trials = 2.7 ran 2 trials, a d-grid
-# entry of 4.5 ran d = 4), and NaN raised a bare ValueError
+# entry of 4.5 ran d = 4), and NaN raised a bare ValueError; trials = 0
+# divided by zero in the coverage tally and gave a sawtooth cell with no
+# estimate, and n = -5 reached numpy's "negative dimensions"
 _CONC = dict(families=("gaussian",), delta_grid=(0.1,))
 
 
@@ -944,13 +925,52 @@ _CONC = dict(families=("gaussian",), delta_grid=(0.1,))
     (run_concentration, dict(_CONC, d_grid=(4,), trials=math.nan),
      "trials must be an integer >= 1, got nan"),
     (run_concentration, dict(_CONC, d_grid=(0,), trials=1000),
-     "d_grid entry must be >= 1, got 0"),
+     "d_grid entry must be an integer >= 1, got 0"),
+    (run_coverage, dict(model_spec="laplace(0,1)", n=1000, trials=0,
+                        delta=0.1), "trials must be an integer >= 1, got 0"),
+    (run_coverage, dict(model_spec="laplace(0,1)", n=-5, trials=2,
+                        delta=0.1), "n must be an integer >= 1, got -5"),
+    (run_coverage_hd, dict(model_spec="product(laplace(0,1)^2)", n=200,
+                           trials=0, delta=0.1, r=0.5),
+     "trials must be an integer >= 1, got 0"),
+    (run_coverage_hd, dict(model_spec="product(laplace(0,1)^2)", n=0,
+                           trials=2, delta=0.1, r=0.5),
+     "n must be an integer >= 1, got 0"),
+    (run_sawtooth_phase, dict(w=0.05, slope=4.0, n_grid=(1000,), trials=0,
+                              delta=0.1),
+     "trials must be an integer >= 1, got 0"),
+    (run_sawtooth_phase, dict(w=0.05, slope=4.0, n_grid=(1000, 0), trials=2,
+                              delta=0.1),
+     "n_grid entry must be an integer >= 1, got 0"),
 ], ids=["coverage-trials", "coverage-n", "coverage-n-nan", "hd-trials-inf",
         "sawtooth-n", "concentration-d", "concentration-trials",
-        "concentration-trials-nan", "concentration-d-0"])
+        "concentration-trials-nan", "concentration-d-0", "coverage-trials-0",
+        "coverage-n-negative", "hd-trials-0", "hd-n-0", "sawtooth-trials-0",
+        "sawtooth-n-0"])
 def test_runs_reject_non_integer_counts_by_name(run, kw, msg):
     with pytest.raises(PreconditionError, match=f"^{re.escape(msg)}$"):
         run(seed=1, **kw)
+
+
+# seed = 2.7 ran seed 2's trials, -1.5 was refused as "got -1", and NaN
+# raised a bare ValueError
+_SEED_RUNS = {
+    "coverage": lambda seed: run_coverage("laplace(0,1)", 1000, 2, 0.1, seed),
+    "coverage-hd": lambda seed: run_coverage_hd("product(laplace(0,1)^2)", 200,
+                                                2, 0.1, 0.5, seed),
+    "sawtooth-phase": lambda seed: run_sawtooth_phase(0.05, 4.0, (1000,), 2,
+                                                      0.1, seed),
+    "concentration": lambda seed: run_concentration(**_CONC, d_grid=(4,),
+                                                    trials=1000, seed=seed),
+}
+
+
+@pytest.mark.parametrize("runner", sorted(_SEED_RUNS))
+@pytest.mark.parametrize("seed", [2.7, -1.5, math.nan])
+def test_runs_reject_non_integer_seeds_by_name(runner, seed):
+    msg = f"seed must be an integer in [0, 2^64), got {seed}"
+    with pytest.raises(PreconditionError, match=f"^{re.escape(msg)}$"):
+        _SEED_RUNS[runner](seed)
 
 
 @pytest.mark.parametrize("args", [
@@ -1028,19 +1048,30 @@ def test_shift_past_float_resolution_is_rejected():
     assert res.stderr.startswith("error: --lambda-true = 1.79e+308 is too large")
 
 
-@pytest.mark.parametrize("run", [
+_LAMBDA_SCALE_RUNS = pytest.mark.parametrize("run", [
     lambda s: run_coverage("laplace(0,1)", 400, 3, 0.1, seed=1, lambda_scale=s),
     lambda s: run_coverage_hd("product(laplace(0,1)^2)", 400, 3, 0.1, 0.5,
                               seed=1, lambda_scale=s),
     lambda s: run_sawtooth_phase(0.05, 4, [1000], 3, 0.1, seed=1,
                                  lambda_scale=s),
 ], ids=["coverage", "coverage-hd", "sawtooth-phase"])
+
+
+@_LAMBDA_SCALE_RUNS
 def test_negative_lambda_scale_is_rejected_by_name(run):
     # the config grammar range-checks lambda-scale; a library call once
     # reached numpy's "high - low < 0" inside the first block
     with pytest.raises(PreconditionError,
                        match=r"^lambda-scale must be >= 0, got -2\.0$"):
         run(-2.0)
+
+
+@_LAMBDA_SCALE_RUNS
+def test_nan_lambda_scale_is_rejected_as_not_nonnegative(run):
+    # NaN was read as "too large for this model: float64 spacing there is nan"
+    with pytest.raises(PreconditionError,
+                       match=r"^lambda-scale must be >= 0, got nan$"):
+        run(math.nan)
 
 
 @pytest.mark.parametrize("experiment,line", [

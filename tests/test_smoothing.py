@@ -679,30 +679,6 @@ def test_score_hd_importance_sampling_oracle():
         assert abs(s[j] - est) < 3 * se
 
 
-def test_score_hd_coords_scores_each_listed_coordinate_once():
-    # scores are written over their points, so a coordinate listed twice
-    # must not be scored again from its own score
-    base = parse_model("product(laplace(0,1),gaussian(0,2),laplace(1,1))")
-    m = SmoothedModelHd(base, 0.5)
-    x = np.array([[0.3, -1.0, 2.0], [1.5, 0.2, -0.7]])
-    want = smoothed_score_hd(m, x)
-    want[:, 1] = 0.0
-    assert np.array_equal(smoothed_score_hd(m, x, coords=(2, 0, 2)), want)
-
-
-# A negative index aliased a listed coordinate: coords=[3, -1] scored
-# column 3 twice, returning s(s(x)).  Out-of-range and float entries raised
-# a bare IndexError.
-@pytest.mark.parametrize("coords,bad", [([3, -1], "[-1]"), ([4], "[4]"),
-                                        ([-5], "[-5]"), ([1.0], "[1.0]")])
-def test_score_hd_coords_must_be_indices(coords, bad):
-    m = SmoothedModelHd(parse_model("product(laplace(0,1)^4)"), 0.5)
-    x = np.array([[0.1, -0.4, 0.9, 1.2]])
-    with pytest.raises(PreconditionError) as exc:
-        smoothed_score_hd(m, x, coords=coords)
-    assert str(exc.value) == f"coords must be integers in [0, 4), got {bad}"
-
-
 # -- diagnostics -------------------------------------------------------------
 
 
@@ -870,13 +846,13 @@ def test_score_diagnostics_underflow_as_smoothed_score_hd(monkeypatch):
     seed, eps = RngSeed(3), np.array([0.1, 0.0, 0.0])
     y = m.base.sample(10**5, seed.derive(1))
     pts = y + m.r * seed.derive(2).generator().standard_normal(y.shape)
-    for run, x, coords in [
+    for run, x in [
         (lambda: score_moment_check(m, np.array([0.0, 0.6, 0.8]), 4, 10**5, seed),
-         pts, [1, 2]),
-        (lambda: score_vector_generator(m, eps).draw(10**5, seed), pts + eps, None),
+         pts),
+        (lambda: score_vector_generator(m, eps).draw(10**5, seed), pts + eps),
     ]:
         with pytest.raises(TailUnderflowError) as want:
-            smoothed_score_hd(m, x, coords=coords)
+            smoothed_score_hd(m, x)
         with pytest.raises(TailUnderflowError) as got:
             run()
         assert str(got.value) == str(want.value)
